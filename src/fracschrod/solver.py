@@ -3,7 +3,8 @@
 Two backends:
 
 * crank_nicolson: Cayley stepping of the s = 1 Hamiltonian with a centered
-  second difference and Dirichlet ends, one tridiagonal sweep per step.
+  second difference and Dirichlet ends; the tridiagonal matrix is factored
+  once per run, one substitution sweep per step.
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid; works for any
   order s.
@@ -132,7 +133,7 @@ def initial_datum(grid: Grid) -> ComplexField:
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Single forward/backward sweep for a tridiagonal system.
+    """Factor a tridiagonal system, then solve it by one substitution sweep.
 
     Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i];
     lower[0] and upper[-1] are ignored.  No pivoting: a vanishing pivot is a
@@ -146,34 +147,53 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
         band = np.asarray(band)
         if band.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {band.shape}")
-    # plain python lists: roughly 10x faster than numpy scalar indexing here
-    lo = np.asarray(lower, dtype=complex).tolist()
-    di = diag.tolist()
-    up = np.asarray(upper, dtype=complex).tolist()
-    xs = np.asarray(rhs, dtype=complex).tolist()
-    scratch = [0j] * n
-    pivot = di[0]
-    if pivot == 0:
-        raise ValueError("zero pivot in row 0")
-    scratch[0] = up[0] / pivot
-    xs[0] = xs[0] / pivot
-    for i in range(1, n):
-        pivot = di[i] - lo[i] * scratch[i - 1]
-        if pivot == 0:
-            raise ValueError(f"zero pivot in row {i}")
-        if i < n - 1:
-            scratch[i] = up[i] / pivot
-        xs[i] = (xs[i] - lo[i] * xs[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
-        xs[i] = xs[i] - scratch[i] * xs[i + 1]
-    return np.asarray(xs, dtype=complex)
+    return _ThomasFactor(lower, diag, upper).solve(rhs)
+
+
+class _ThomasFactor:
+    """Pivots and upper/pivot multipliers of the Thomas sweep, computed once.
+
+    solve() then runs only the forward and back substitution, with the same
+    operations in the same order as a one-pass sweep, so results are
+    bit-identical to refactoring the matrix on every call.
+    """
+
+    def __init__(self, lower, diag, upper):
+        # plain python lists: roughly 10x faster than numpy scalar indexing here
+        lo = np.asarray(lower, dtype=complex).tolist()
+        di = np.asarray(diag, dtype=complex).tolist()
+        up = np.asarray(upper, dtype=complex).tolist()
+        n = len(di)
+        pivots = []
+        multipliers = []
+        for i in range(n):
+            pivot = di[i] - lo[i] * multipliers[i - 1] if i else di[i]
+            if pivot == 0:
+                raise ValueError(f"zero pivot in row {i}")
+            pivots.append(pivot)
+            if i < n - 1:
+                multipliers.append(up[i] / pivot)
+        self._lower = lo
+        self._pivots = pivots
+        self._multipliers = multipliers
+
+    def solve(self, rhs) -> np.ndarray:
+        lo, pivots, multipliers = self._lower, self._pivots, self._multipliers
+        xs = np.asarray(rhs, dtype=complex).tolist()
+        n = len(xs)
+        prev = xs[0] = xs[0] / pivots[0]
+        for i in range(1, n):
+            xs[i] = prev = (xs[i] - lo[i] * prev) / pivots[i]
+        for i in range(n - 2, -1, -1):
+            xs[i] = prev = xs[i] - multipliers[i] * prev
+        return np.asarray(xs, dtype=complex)
 
 
 class _CrankNicolson:
     """Cayley step (i/dt - H/2) u_next = (i/dt + H/2) u, H = -D2 + p.
 
-    The first and last nodes are held at zero; the interior block is solved
-    by one tridiagonal sweep per step.
+    The first and last nodes are held at zero; the interior block is
+    factored here and solved by one substitution sweep per step.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float):
@@ -182,18 +202,19 @@ class _CrankNicolson:
         self._idt = 1j / dt
         self._p_in = p_values[1:-1]
         m = grid.n - 2
-        self._lower = np.full(m, 0.5 * a, dtype=complex)
-        self._upper = np.full(m, 0.5 * a, dtype=complex)
-        self._lower[0] = 0.0
-        self._upper[-1] = 0.0
-        self._diag = self._idt - (a + 0.5 * self._p_in)
+        lower = np.full(m, 0.5 * a, dtype=complex)
+        upper = np.full(m, 0.5 * a, dtype=complex)
+        lower[0] = 0.0
+        upper[-1] = 0.0
+        diag = self._idt - (a + 0.5 * self._p_in)
+        self._factor = _ThomasFactor(lower, diag, upper)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         inner = values[1:-1]
         h_inner = (2.0 * inner - values[:-2] - values[2:]) * self._a + self._p_in * inner
         rhs = self._idt * inner + 0.5 * h_inner
         out = np.zeros_like(values)
-        out[1:-1] = solve_tridiagonal(self._lower, self._diag, self._upper, rhs)
+        out[1:-1] = self._factor.solve(rhs)
         return out
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from fracschrod import NumericalAbort
 from fracschrod.cli import BACKEND_MAP, POTENTIAL_MAP, main, read_config_file
 
 FAST = ["--nx", "256", "--dt", "0.0107", "--t-end", "0.0214"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_command_enums():
@@ -189,3 +192,13 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "manifest.json").exists()
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs most of a command's start-up; the package must not need it
+        code = ("import sys, fracschrod, fracschrod.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

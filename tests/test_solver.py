@@ -124,9 +124,51 @@ class TestSolveTridiagonal:
             solve_tridiagonal(np.zeros(2), np.array([0.0, 1.0]),
                               np.zeros(2), np.ones(2))
 
+    def test_zero_pivot_after_elimination(self):
+        # diag is nonzero; the pivot of row 1 vanishes only after eliminating row 0
+        with pytest.raises(ValueError, match="row 1"):
+            solve_tridiagonal(np.array([0.0, 1.0]), np.ones(2),
+                              np.array([1.0, 0.0]), np.ones(2))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
+
+
+def one_pass_thomas(lower, diag, upper, rhs):
+    """Reference: factor and substitute in a single sweep, refactoring every call."""
+    lo, di, up = (np.asarray(b, dtype=complex).tolist() for b in (lower, diag, upper))
+    xs = np.asarray(rhs, dtype=complex).tolist()
+    n = len(xs)
+    scratch = [0j] * n
+    pivot = di[0]
+    scratch[0] = up[0] / pivot
+    xs[0] = xs[0] / pivot
+    for i in range(1, n):
+        pivot = di[i] - lo[i] * scratch[i - 1]
+        if i < n - 1:
+            scratch[i] = up[i] / pivot
+        xs[i] = (xs[i] - lo[i] * xs[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        xs[i] = xs[i] - scratch[i] * xs[i + 1]
+    return np.asarray(xs, dtype=complex)
+
+
+def reference_cn_step(values, grid, p_values, dt):
+    """One Cayley step through one_pass_thomas, bands rebuilt on every call."""
+    a = 1.0 / grid.dx**2
+    idt = 1j / dt
+    p_in = p_values[1:-1]
+    lower = np.full(grid.n - 2, 0.5 * a, dtype=complex)
+    upper = np.full(grid.n - 2, 0.5 * a, dtype=complex)
+    lower[0] = 0.0
+    upper[-1] = 0.0
+    diag = idt - (a + 0.5 * p_in)
+    inner = values[1:-1]
+    h_inner = (2.0 * inner - values[:-2] - values[2:]) * a + p_in * inner
+    out = np.zeros_like(values)
+    out[1:-1] = one_pass_thomas(lower, diag, upper, idt * inner + 0.5 * h_inner)
+    return out
 
 
 class TestCrankNicolsonStep:
@@ -213,6 +255,17 @@ class TestSimulate:
         tr = simulate(u, potential("delta", eps=0.05), cfg)
         assert window_mass(u, 2.7, 3.3) == 0.0
         assert window_mass(tr.states[-1], 2.7, 3.3) > 0.0
+
+    def test_cn_run_bit_identical_to_one_pass_reference(self):
+        grid = make_grid(0.0, 10.0, 256)
+        p = potential("delta", grid=grid)
+        t_end = 0.05  # four full steps, then a shortened one
+        tr = simulate(initial_datum(grid), p, SolverConfig(dt=DT, t_end=t_end))
+        assert len(tr.states) == 6 and 0.0 < t_end - 4 * DT < DT
+        values = initial_datum(grid).values
+        for state, h in zip(tr.states[1:], [DT] * 4 + [t_end - 4 * DT]):
+            values = reference_cn_step(values, grid, p.field.values, h)
+            assert np.array_equal(state.values, values)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mass_conserved(self, backend):
