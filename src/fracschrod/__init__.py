@@ -28,7 +28,6 @@ from .mollifier import (
     POTENTIAL_KINDS,
     REGULAR_KINDS,
     SINGULAR_KINDS,
-    MollifierSpec,
     PotentialSpec,
     RegularizedPotential,
     bump_normalization,
@@ -40,7 +39,6 @@ from .mollifier import (
     sup_norm,
 )
 from .observables import (
-    ObservableRecord,
     composite_norm,
     count_local_maxima,
     energy,

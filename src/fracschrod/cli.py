@@ -179,14 +179,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     if args.config is not None:
         for key, value in read_config_file(args.config).items():
             settings[key] = _coerce(key, value)
-    flag_names = {
-        "out": "out", "backend": "backend", "eps": "eps", "potential": "potential",
-        "s": "s", "dt": "dt", "nx": "nx", "domain": "domain",
-        "mollify_data": "mollify-data", "t_end": "t-end", "m": "m",
-        "figure": "figure", "reference": "reference",
-    }
-    for attr, key in flag_names.items():
-        value = getattr(args, attr, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             settings[key] = _coerce(key, value)
     return settings

@@ -23,8 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,6 +32,7 @@ from .grid import ComplexField, Grid, RealField, l2_norm, make_grid
 from .mollifier import (
     PotentialSpec,
     RegularizedPotential,
+    bump,
     mollify_samples,
     moderateness_exponent,
     regularize_potential,
@@ -107,7 +107,6 @@ class ExperimentConfig:
     x_max: float = 10.0
     n: int = 1024
     output_dir: str | None = None
-    seed: int = 0
     mollify_data: bool = False
 
     def __post_init__(self) -> None:
@@ -131,7 +130,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     """sha256 over canonical key=value lines; stable across processes."""
     items = (
         ("backend", cfg.solver.backend),
-        ("boundary", cfg.solver.resolved_boundary),
+        ("boundary", cfg.solver.boundary),
         ("dt", repr(float(cfg.solver.dt))),
         ("t_end", repr(float(cfg.solver.t_end))),
         ("order_s", repr(float(cfg.solver.order.s))),
@@ -143,7 +142,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
         ("x_min", repr(float(cfg.x_min))),
         ("x_max", repr(float(cfg.x_max))),
         ("n", str(cfg.n)),
-        ("seed", str(cfg.seed)),
         ("mollify_data", str(int(cfg.mollify_data))),
     )
     blob = "\n".join(f"{k}={v}" for k, v in items) + "\n"
@@ -219,7 +217,7 @@ def _fit_or_none(epsilons, norms):
     return slope, residual, residual > RESIDUAL_FLAG_THRESHOLD
 
 
-def epsilon_sweep(cfg: ExperimentConfig, max_workers: int = 1) -> SweepReport:
+def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run every width and fit log-log growth rates.
 
     The slopes are exponents N with quantity ~ eps^(-N): a bounded family
@@ -246,11 +244,7 @@ def epsilon_sweep(cfg: ExperimentConfig, max_workers: int = 1) -> SweepReport:
             sup_composite_norm=max(composite_norm(s, order) for s in trajectory.states),
         )
 
-    if max_workers <= 1:
-        records = tuple(one(e) for e in cfg.epsilons)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = tuple(pool.map(one, cfg.epsilons))
+    records = tuple(one(e) for e in cfg.epsilons)
 
     p_slope, p_res, p_flag = _fit_or_none(cfg.epsilons, [r.sup_norm_p for r in records])
     u_slope, u_res, u_flag = _fit_or_none(cfg.epsilons, [r.sup_composite_norm for r in records])
@@ -270,11 +264,7 @@ def epsilon_sweep(cfg: ExperimentConfig, max_workers: int = 1) -> SweepReport:
 
 def default_perturbation(grid: Grid, center: float) -> RealField:
     """Unit-height smooth bump supported on (center - 1, center + 1)."""
-    y = grid.nodes - center
-    values = np.zeros(grid.n)
-    inside = np.abs(y) < 1.0
-    values[inside] = np.exp(1.0 + 1.0 / (y[inside] ** 2 - 1.0))
-    return RealField(grid, values)
+    return RealField(grid, np.e * bump(grid.nodes - center))
 
 
 @dataclass(frozen=True)
@@ -356,14 +346,7 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
 
     if reference == "fine":
         fine_grid = make_grid(cfg.x_min, cfg.x_max, 4 * cfg.n)
-        fine_solver = SolverConfig(
-            backend=cfg.solver.backend,
-            dt=cfg.solver.dt / 8.0,
-            t_end=cfg.solver.t_end,
-            order=cfg.solver.order,
-            record_every=10**9,
-            boundary=cfg.solver.boundary,
-        )
+        fine_solver = replace(cfg.solver, dt=cfg.solver.dt / 8.0, record_every=10**9)
         fine_potential = regularize_potential(cfg.potential, fine_grid, cfg.epsilons[0])
         fine_final = simulate(initial_datum(fine_grid), fine_potential, fine_solver).states[-1]
         ref_values = fine_final.values[::4]
@@ -494,17 +477,6 @@ def write_energy_scaling_csv(report: EnergyScalingReport, path: str) -> None:
 # Figure data
 
 
-def _with_times(solver: SolverConfig, t_end: float) -> SolverConfig:
-    return SolverConfig(
-        backend=solver.backend,
-        dt=solver.dt,
-        t_end=t_end,
-        order=solver.order,
-        record_every=1,
-        boundary=solver.boundary,
-    )
-
-
 def _snapshot(trajectory: Trajectory, t: float, tol: float = 1e-9):
     hits = np.nonzero(np.abs(trajectory.times - t) <= tol)[0]
     return int(hits[0]) if hits.size else None
@@ -520,16 +492,31 @@ def _density_snapshots(cfg: ExperimentConfig, spec: PotentialSpec, epsilon: floa
     grid = cfg.grid
     potential = regularize_potential(spec, grid, epsilon)
     datum = prepared_datum(cfg, grid, epsilon)
-    trajectory = simulate(datum, potential, _with_times(cfg.solver, max(times)))
+    dense = replace(cfg.solver, record_every=1)
+    trajectory = simulate(datum, potential, replace(dense, t_end=max(times)))
     files = []
     for t in times:
         idx = _snapshot(trajectory, t)
         if idx is None:
-            state = simulate(datum, potential, _with_times(cfg.solver, t)).states[-1]
+            state = simulate(datum, potential, replace(dense, t_end=t)).states[-1]
         else:
             state = trajectory.states[idx]
         name = name_fn(t)
         write_csv(os.path.join(out, name), DENSITY_HEADER, density_rows(state))
+        files.append(name)
+    return files
+
+
+def _energy_tables(cfg: ExperimentConfig, spec: PotentialSpec, epsilons, out: str) -> list[str]:
+    """Record every step to t_end and dump one energy table per width."""
+    grid = cfg.grid
+    solver = replace(cfg.solver, record_every=1)
+    files = []
+    for epsilon in epsilons:
+        potential = regularize_potential(spec, grid, epsilon)
+        trajectory = simulate(prepared_datum(cfg, grid, epsilon), potential, solver)
+        name = f"energy_eps{epsilon:g}.csv"
+        write_csv(os.path.join(out, name), ENERGY_HEADER, energy_rows(trajectory))
         files.append(name)
     return files
 
@@ -568,29 +555,14 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out_dir: str | None = N
                 lambda t, e=epsilon: f"density_t{t:.4f}_eps{e:g}.csv",
             )
     elif figure == "fig4":
-        spec = PotentialSpec("delta")
-        for epsilon in FIG4_EPSILONS:
-            grid = cfg.grid
-            potential = regularize_potential(spec, grid, epsilon)
-            datum = prepared_datum(cfg, grid, epsilon)
-            trajectory = simulate(datum, potential, _with_times(cfg.solver, cfg.solver.t_end))
-            name = f"energy_eps{epsilon:g}.csv"
-            write_csv(os.path.join(out, name), ENERGY_HEADER, energy_rows(trajectory))
-            files.append(name)
+        files += _energy_tables(cfg, PotentialSpec("delta"), FIG4_EPSILONS, out)
     else:  # fig5
         spec = PotentialSpec("delta_squared")
         files += _density_snapshots(
             cfg, spec, 0.05, FIG5_TIMES, out,
             lambda t: f"density_t{t:.4f}_eps{0.05:g}.csv",
         )
-        for epsilon in FIG5_ENERGY_EPSILONS:
-            grid = cfg.grid
-            potential = regularize_potential(spec, grid, epsilon)
-            datum = prepared_datum(cfg, grid, epsilon)
-            trajectory = simulate(datum, potential, _with_times(cfg.solver, cfg.solver.t_end))
-            name = f"energy_eps{epsilon:g}.csv"
-            write_csv(os.path.join(out, name), ENERGY_HEADER, energy_rows(trajectory))
-            files.append(name)
+        files += _energy_tables(cfg, spec, FIG5_ENERGY_EPSILONS, out)
 
     payload = manifest_payload(cfg, f"figures:{figure}", files, figure=figure)
     write_manifest(os.path.join(out, "manifest.json"), payload)

@@ -19,9 +19,9 @@ __all__ = [
     "REGULAR_KINDS",
     "SINGULAR_KINDS",
     "HARMONIC_CENTER",
-    "MollifierSpec",
     "PotentialSpec",
     "RegularizedPotential",
+    "bump",
     "bump_normalization",
     "friedrichs_mollifier",
     "scaled_mollifier",
@@ -38,6 +38,15 @@ POTENTIAL_KINDS = REGULAR_KINDS + SINGULAR_KINDS
 HARMONIC_CENTER = 5.0
 
 
+def bump(y, radius: float = 1.0) -> np.ndarray:
+    """exp(1/(y^2 - radius^2)) for |y| < radius, zero elsewhere, as floats."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < radius
+    out[inside] = np.exp(1.0 / (y[inside] ** 2 - radius**2))
+    return out
+
+
 @cache
 def bump_normalization() -> float:
     """Constant c giving unit mass to c*exp(1/(x^2-1)); about 2.2523.
@@ -47,7 +56,7 @@ def bump_normalization() -> float:
     1e-13) gives 2.2522836210435817, a relative difference of 6e-15.
     """
     nodes, weights = leggauss(200)
-    raw = float(weights @ np.exp(1.0 / (nodes * nodes - 1.0)))
+    raw = float(weights @ bump(nodes))
     c = 1.0 / raw
     # guard against a silently broken quadrature rule
     if abs(c - 2.2523) > 5e-4:
@@ -55,36 +64,16 @@ def bump_normalization() -> float:
     return c
 
 
-def friedrichs_mollifier(y, spec=None):
+def friedrichs_mollifier(y):
     """Pointwise bump c*exp(1/(y^2-1)) for |y| < 1, zero elsewhere."""
-    c = bump_normalization() if spec is None else spec.normalization_constant
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    out[inside] = c * np.exp(1.0 / (y[inside] ** 2 - 1.0))
-    return out
+    return bump_normalization() * bump(y)
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    """The bump family in use and its normalization constant."""
-
-    kind: str = "standard_bump"
-    normalization_constant: float = 0.0
-
-    def __post_init__(self):
-        if self.kind != "standard_bump":
-            raise ValueError(f"unknown mollifier kind: {self.kind!r}")
-        if self.normalization_constant == 0.0:
-            object.__setattr__(self, "normalization_constant", bump_normalization())
-
-
-def scaled_mollifier(grid: Grid, epsilon: float, center: float = 0.0,
-                     spec=None) -> RealField:
+def scaled_mollifier(grid: Grid, epsilon: float, center: float = 0.0) -> RealField:
     """Samples of phi_eps(x - center) = phi((x - center)/eps)/eps on the grid."""
     _check_epsilon(epsilon)
     _check_support(grid, center, epsilon)
-    values = friedrichs_mollifier((grid.nodes - center) / epsilon, spec) / epsilon
+    values = friedrichs_mollifier((grid.nodes - center) / epsilon) / epsilon
     return RealField(grid, values)
 
 
@@ -149,8 +138,7 @@ class RegularizedPotential:
 
 
 def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float,
-                         mollify_regular: bool = False,
-                         mollifier=None) -> RegularizedPotential:
+                         mollify_regular: bool = False) -> RegularizedPotential:
     """Sample the potential on the grid.
 
     Regular kinds are sampled exactly unless mollify_regular is set, in which
@@ -168,10 +156,10 @@ def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float,
         values = (x - HARMONIC_CENTER) ** 2
     elif spec.kind == "delta":
         _check_support(grid, spec.site, epsilon)
-        values = spec.weight * friedrichs_mollifier((x - spec.site) / epsilon, mollifier) / epsilon
+        values = spec.weight * friedrichs_mollifier((x - spec.site) / epsilon) / epsilon
     else:  # delta_squared
         _check_support(grid, spec.site, epsilon)
-        scaled = friedrichs_mollifier((x - spec.site) / epsilon, mollifier) / epsilon
+        scaled = friedrichs_mollifier((x - spec.site) / epsilon) / epsilon
         values = spec.weight * scaled**2
     if mollify_regular and spec.kind in REGULAR_KINDS:
         values = mollify_samples(values, grid, epsilon)

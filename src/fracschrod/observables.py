@@ -2,32 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import ComplexField, RealField, hs_seminorm, l2_norm, require_same_grid
 from .operators import FractionalOrder
 
 __all__ = [
-    "ObservableRecord",
     "position_density",
     "energy",
     "composite_norm",
     "window_mass",
     "count_local_maxima",
 ]
-
-
-@dataclass(frozen=True)
-class ObservableRecord:
-    """Scalar observables of one state at one time."""
-
-    t: float
-    mass: float
-    energy: float
-    hs_part: float
-    potential_part: float
 
 
 def position_density(u: ComplexField) -> RealField:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComplexField, Grid, l2_norm
-from .mollifier import RegularizedPotential
+from .mollifier import RegularizedPotential, bump
 from .observables import energy
 from .operators import FractionalOrder
 
@@ -66,7 +66,6 @@ class SolverConfig:
     t_end: float = 0.2996
     order: FractionalOrder = FractionalOrder(1.0)
     record_every: int = 1
-    boundary: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -83,16 +82,10 @@ class SolverConfig:
                     "crank_nicolson only integrates the s = 1 Laplacian; "
                     "use spectral_strang for fractional orders"
                 )
-            if self.boundary not in (None, "dirichlet"):
-                raise ValueError("crank_nicolson uses Dirichlet ends")
-        else:
-            if self.boundary not in (None, "periodic"):
-                raise ValueError("spectral_strang uses the periodic grid")
 
     @property
-    def resolved_boundary(self) -> str:
-        if self.boundary is not None:
-            return self.boundary
+    def boundary(self) -> str:
+        """Dirichlet ends for Crank-Nicolson, the periodic grid for Strang."""
         return "dirichlet" if self.backend == "crank_nicolson" else "periodic"
 
 
@@ -108,7 +101,9 @@ class Trajectory:
     potential_part: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.times) == len(self.states) == len(self.mass) == len(self.energy)):
+        lengths = {len(a) for a in (self.times, self.states, self.mass, self.energy,
+                                    self.hs_part, self.potential_part)}
+        if len(lengths) != 1:
             raise ValueError("trajectory arrays must have equal lengths")
         if len(self.times) == 0:
             raise ValueError("trajectory must hold at least the initial record")
@@ -125,11 +120,7 @@ def initial_datum(grid: Grid) -> ComplexField:
             f"domain [{grid.x_min}, {grid.x_max}) does not cover the packet support "
             f"[{PACKET_CENTER - PACKET_HALF_WIDTH}, {PACKET_CENTER + PACKET_HALF_WIDTH}]"
         )
-    y = grid.nodes - PACKET_CENTER
-    values = np.zeros(grid.n, dtype=complex)
-    inside = np.abs(y) < PACKET_HALF_WIDTH
-    values[inside] = np.exp(1.0 / (y[inside] ** 2 - PACKET_HALF_WIDTH**2))
-    return ComplexField(grid, values)
+    return ComplexField(grid, bump(grid.nodes - PACKET_CENTER, PACKET_HALF_WIDTH))
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,14 @@ import pytest
 
 import fracschrod.cli as cli
 from fracschrod import NumericalAbort
-from fracschrod.cli import BACKEND_MAP, POTENTIAL_MAP, main, read_config_file
+from fracschrod.cli import (
+    BACKEND_MAP,
+    CONFIG_KEYS,
+    POTENTIAL_MAP,
+    build_parser,
+    main,
+    read_config_file,
+)
 
 FAST = ["--nx", "256", "--dt", "0.0107", "--t-end", "0.0214"]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +78,23 @@ class TestSimulate:
         assert rc == 3
 
 
+def test_flags_and_config_keys_agree():
+    # resolve_settings reads each CONFIG_KEYS entry from the flag's dest
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {key.replace("-", "_") for key in CONFIG_KEYS}
+    seen = set()
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            longs = [o for o in action.option_strings if o.startswith("--")]
+            if not longs or longs[0] in ("--config", "--help"):
+                continue
+            assert action.dest in dests, (name, longs[0])
+            seen.add(action.dest)
+    assert seen == dests
+
+
 class TestConfigFile:
     def test_file_settings_apply(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -86,6 +111,15 @@ class TestConfigFile:
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["epsilon"] == 0.1
+
+    def test_hyphenated_flag_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 256\neps = 0.2\nt-end = 0.0214\n")
+        rc = main(["simulate", "--config", str(cfg), "--t-end", "0.0107",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "density_t0.0107_eps0.2.csv").exists()
+        assert not (tmp_path / "o" / "density_t0.0214_eps0.2.csv").exists()
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -127,12 +127,6 @@ class TestEpsilonSweep:
         assert report.config_digest == config_hash(cfg)
         assert report.created
 
-    def test_parallel_matches_serial(self):
-        cfg = quick_config()
-        serial = epsilon_sweep(cfg, max_workers=1)
-        parallel = epsilon_sweep(cfg, max_workers=4)
-        assert serial.records == parallel.records
-
     def test_disjoint_supports_give_zero_window_mass_at_start(self):
         report = epsilon_sweep(quick_config(t_end=0.214))
         for rec in report.records:

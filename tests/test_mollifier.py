@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from fracschrod import (
-    MollifierSpec,
     PotentialSpec,
     RealField,
     RegularizedPotential,
@@ -47,12 +46,12 @@ def test_kernel_unit_mass():
     assert abs(mass - 1.0) < 1e-8
 
 
-def test_mollifier_spec_defaults():
-    spec = MollifierSpec()
-    assert spec.kind == "standard_bump"
-    assert spec.normalization_constant == pytest.approx(NORM_CONST)
-    with pytest.raises(ValueError):
-        MollifierSpec(kind="gaussian")
+def test_kernel_matches_closed_form_exactly():
+    y = np.linspace(-1.5, 1.5, 3001)
+    inside = np.abs(y) < 1.0
+    expected = np.zeros_like(y)
+    expected[inside] = bump_normalization() * np.exp(1.0 / (y[inside] ** 2 - 1.0))
+    assert np.array_equal(friedrichs_mollifier(y), expected)
 
 
 class TestScaledMollifier:

@@ -4,7 +4,6 @@ import pytest
 from fracschrod import (
     ComplexField,
     FractionalOrder,
-    ObservableRecord,
     PotentialSpec,
     RealField,
     composite_norm,
@@ -152,8 +151,3 @@ class TestCountLocalMaxima:
     def test_rejects_negative_floor(self):
         with pytest.raises(ValueError):
             count_local_maxima(position_density(BUMP), -1.0)
-
-
-def test_observable_record_is_plain_data():
-    rec = ObservableRecord(t=0.1, mass=1.0, energy=2.0, hs_part=1.0, potential_part=1.0)
-    assert rec.t == 0.1 and rec.energy == 2.0

@@ -41,14 +41,14 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.backend == "crank_nicolson"
         assert cfg.dt == DT
-        assert cfg.resolved_boundary == "dirichlet"
+        assert cfg.boundary == "dirichlet"
 
     def test_backends_constant(self):
         assert BACKENDS == ("crank_nicolson", "spectral_strang")
 
     def test_spectral_boundary_default(self):
         cfg = SolverConfig(backend="spectral_strang")
-        assert cfg.resolved_boundary == "periodic"
+        assert cfg.boundary == "periodic"
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -71,17 +71,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(backend="crank_nicolson", order=FractionalOrder(0.5))
 
-    def test_boundary_backend_mismatch(self):
-        with pytest.raises(ValueError):
-            SolverConfig(backend="crank_nicolson", boundary="periodic")
-        with pytest.raises(ValueError):
-            SolverConfig(backend="spectral_strang", boundary="dirichlet")
-
 
 class TestInitialDatum:
     def test_center_value(self):
         u = initial_datum(GRID)
         assert u.values[512].real == pytest.approx(np.exp(-4.0), rel=1e-14)
+
+    def test_matches_closed_form_exactly(self):
+        x = GRID.nodes
+        inside = np.abs(x - 5.0) < 0.5
+        expected = np.zeros(GRID.n)
+        expected[inside] = np.exp(1.0 / ((x[inside] - 5.0) ** 2 - 0.25))
+        assert np.array_equal(initial_datum(GRID).values, expected)
 
     def test_vanishes_outside_support(self):
         u = initial_datum(GRID)
@@ -360,6 +361,15 @@ class TestTrajectoryValidation:
             Trajectory(times=np.array([0.0, 0.1]), states=(u,),
                        mass=np.ones(2), energy=np.ones(2),
                        hs_part=np.ones(2), potential_part=np.ones(2))
+
+    @pytest.mark.parametrize("short", ["hs_part", "potential_part"])
+    def test_rejects_short_energy_part(self, short):
+        u = initial_datum(GRID)
+        arrays = dict(mass=np.ones(2), energy=np.ones(2),
+                      hs_part=np.ones(2), potential_part=np.ones(2))
+        arrays[short] = np.ones(1)
+        with pytest.raises(ValueError):
+            Trajectory(times=np.array([0.0, 0.1]), states=(u, u), **arrays)
 
 
 def test_numerical_abort_message_carries_width_tag():
