@@ -69,6 +69,19 @@ class Grid:
         """Signed ladder 2*pi*k/L in FFT order; the Nyquist mode sits at -pi*n/L."""
         return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
+    def wavenumber_power(self, s: float) -> np.ndarray:
+        """|xi|**s on the wavenumber ladder, computed once per order s; read-only."""
+        if not np.isfinite(s) or s < 0:
+            raise ValueError(f"order must be a finite nonnegative real, got {s}")
+        powers = self._wavenumber_powers
+        if s not in powers:
+            powers[s] = _readonly(np.abs(self.wavenumbers) ** s)
+        return powers[s]
+
+    @cached_property
+    def _wavenumber_powers(self) -> dict[float, np.ndarray]:
+        return {}
+
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -84,6 +97,18 @@ class ComplexField:
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(v))
+
+    @classmethod
+    def from_checked(cls, grid: Grid, values: np.ndarray) -> ComplexField:
+        """Wrap samples the caller has already checked, skipping the validation scan.
+
+        values must be a finite complex array of shape (grid.n,); it is frozen
+        in place, not copied.
+        """
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", _readonly(values))
+        return field
 
 
 @dataclass(frozen=True)
@@ -138,8 +163,6 @@ def hs_seminorm(f: ComplexField, s: float) -> float:
     Computed entirely in coefficient space.  s = 0 reduces to the L2 norm;
     by Plancherel the result is consistent with l2_norm to machine precision.
     """
-    if not np.isfinite(s) or s < 0:
-        raise ValueError(f"seminorm order must be a finite nonnegative real, got {s}")
-    weights = np.abs(f.grid.wavenumbers) ** s
+    weights = f.grid.wavenumber_power(s)
     coeffs = np.fft.fft(f.values, norm="ortho")
     return float(np.sqrt(f.grid.dx) * np.linalg.norm(weights * coeffs))

@@ -241,7 +241,8 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
             window_mass_at_site=window_mass(
                 final, site - WINDOW_HALF_WIDTH, site + WINDOW_HALF_WIDTH),
             n_maxima=count_local_maxima(density, floor),
-            sup_composite_norm=max(composite_norm(s, order) for s in trajectory.states),
+            # composite_norm of every state: the same l2_norm + hs_seminorm sums
+            sup_composite_norm=float(np.max(trajectory.mass + trajectory.hs_part)),
         )
 
     records = tuple(one(e) for e in cfg.epsilons)
@@ -295,6 +296,7 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
     if np.min(perturbation.values) < 0:
         raise ValueError("perturbation must be nonnegative to keep the potential valid")
 
+    root_dx = np.sqrt(grid.dx)
     distances = []
     for epsilon in cfg.epsilons:
         base = regularize_potential(cfg.potential, grid, epsilon)
@@ -306,7 +308,7 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
         t_base = _simulate_tagged(datum, base, cfg.solver, epsilon)
         t_shift = _simulate_tagged(datum, shifted, cfg.solver, epsilon)
         gap = max(
-            l2_norm(ComplexField(grid, a.values - b.values))
+            float(root_dx * np.linalg.norm(a.values - b.values))
             for a, b in zip(t_base.states, t_shift.states)
         )
         distances.append(gap)

@@ -6,21 +6,28 @@ import pytest
 
 from fracschrod import (
     DEFAULT_EPSILONS,
+    ComplexField,
     ExperimentConfig,
+    FractionalOrder,
     PotentialSpec,
     RealField,
+    RegularizedPotential,
     SolverConfig,
+    composite_norm,
     config_hash,
     consistency_experiment,
     default_perturbation,
     delta_squared_energy_scaling,
     emit_figure_data,
     epsilon_sweep,
+    l2_norm,
     make_grid,
+    regularize_potential,
+    simulate,
     single_run,
     uniqueness_experiment,
 )
-from fracschrod.harness import write_csv
+from fracschrod.harness import prepared_datum, write_csv
 
 DT = 0.0107
 
@@ -29,6 +36,13 @@ def quick_config(kind="delta", epsilons=(0.4, 0.2, 0.1), t_end=2 * DT, **kw):
     solver = kw.pop("solver", SolverConfig(dt=DT, t_end=t_end))
     return ExperimentConfig(potential=PotentialSpec(kind), epsilons=epsilons,
                             solver=solver, **kw)
+
+
+def fractional_config():
+    """n = 256, three widths, Strang at s = 0.75, every step recorded."""
+    solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.0642,
+                          order=FractionalOrder(0.75))
+    return quick_config(kind="delta_squared", epsilons=(0.4, 0.1, 0.05), n=256, solver=solver)
 
 
 class TestExperimentConfig:
@@ -127,6 +141,14 @@ class TestEpsilonSweep:
         assert report.config_digest == config_hash(cfg)
         assert report.created
 
+    def test_sup_composite_norm_is_max_over_states(self):
+        cfg = fractional_config()
+        report = epsilon_sweep(cfg)
+        for rec in report.records:
+            tr, _, _ = single_run(cfg, rec.epsilon)
+            assert rec.sup_composite_norm == max(
+                composite_norm(u, cfg.solver.order) for u in tr.states)
+
     def test_disjoint_supports_give_zero_window_mass_at_start(self):
         report = epsilon_sweep(quick_config(t_end=0.214))
         for rec in report.records:
@@ -152,6 +174,24 @@ class TestUniqueness:
         report = uniqueness_experiment(cfg, m=2.0, perturbation=flat)
         assert all(d <= 1e-12 for d in report.distances)
         assert report.decay_rate is None
+
+    def test_distances_match_per_state_l2_gap(self):
+        cfg, m = fractional_config(), 2.0
+        grid = cfg.grid
+        report = uniqueness_experiment(cfg, m=m)
+        bump = default_perturbation(grid, cfg.potential.site)
+        for epsilon, distance in zip(cfg.epsilons, report.distances):
+            base = regularize_potential(cfg.potential, grid, epsilon)
+            shifted = RegularizedPotential(
+                cfg.potential, epsilon,
+                RealField(grid, base.field.values + epsilon**m * bump.values))
+            datum = prepared_datum(cfg, grid, epsilon)
+            a_run = simulate(datum, base, cfg.solver)
+            b_run = simulate(datum, shifted, cfg.solver)
+            assert distance > 0.0
+            assert distance == max(
+                l2_norm(ComplexField(grid, a.values - b.values))
+                for a, b in zip(a_run.states, b_run.states))
 
     def test_rejects_exponent_below_one(self):
         with pytest.raises(ValueError):

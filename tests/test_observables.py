@@ -17,6 +17,7 @@ from fracschrod import (
     regularize_potential,
     window_mass,
 )
+from fracschrod.observables import BLOCK_VALUES, state_observables
 
 BUMP_L2 = 0.009848179605063479
 BUMP_DERIV_L2 = 0.0467915156341152
@@ -85,6 +86,45 @@ class TestEnergy:
         p = regularize_potential(PotentialSpec("zero"), other, 0.3)
         with pytest.raises(ValueError):
             energy(BUMP, p, FractionalOrder(1.0))
+
+
+class TestStateObservables:
+    ROWS = BLOCK_VALUES // GRID.n  # states per stacked FFT block
+
+    @pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 5])
+    @pytest.mark.parametrize("s", [0.75, 1.0])
+    def test_bit_identical_to_one_state_formulas(self, count, s):
+        # block edges: one state, a block short by one, a full block, one
+        # state into the next block, and a ragged last block
+        fields = [random_field(GRID, 100 + i) for i in range(count)]
+        p = regularize_potential(PotentialSpec("harmonic_shifted"), GRID, 0.3).field
+        mass, hs, pot, total = state_observables(
+            GRID, [f.values for f in fields], p.values, s)
+        ref_hs = [hs_seminorm(f, s) for f in fields]
+        ref_pot = [float(np.sqrt(GRID.dx * np.sum(p.values * np.abs(f.values) ** 2)))
+                   for f in fields]
+        assert np.array_equal(mass, [l2_norm(f) for f in fields])
+        assert np.array_equal(hs, ref_hs)
+        assert np.array_equal(pot, ref_pot)
+        assert np.array_equal(total, [h**2 + v**2 for h, v in zip(ref_hs, ref_pot)])
+        assert np.array_equal(total, [energy(f, p, FractionalOrder(s))[2] for f in fields])
+
+    def test_energy_squares_python_floats(self):
+        # numpy's square and Python's float ** 2 differ in the last bit for
+        # about one value in a thousand; 3000 states make a difference certain
+        grid = make_grid(0.0, 10.0, 64)
+        rng = np.random.default_rng(3)
+        states = list(rng.standard_normal((3000, 64)) + 1j * rng.standard_normal((3000, 64)))
+        _, hs, pot, total = state_observables(grid, states, rng.random(64), 0.5)
+        assert np.array_equal(total, [h**2 + v**2 for h, v in zip(hs.tolist(), pot.tolist())])
+
+    def test_state_larger_than_a_block(self):
+        grid = make_grid(0.0, 10.0, 2 * BLOCK_VALUES)
+        fields = [random_field(grid, 7), random_field(grid, 8)]
+        mass, hs, _, _ = state_observables(
+            grid, [f.values for f in fields], np.zeros(grid.n), 1.0)
+        assert np.array_equal(mass, [l2_norm(f) for f in fields])
+        assert np.array_equal(hs, [hs_seminorm(f, 1.0) for f in fields])
 
 
 class TestCompositeNorm:

@@ -12,7 +12,9 @@ from fracschrod import (
     Trajectory,
     cn_step,
     composite_norm,
+    energy,
     free_propagator,
+    hs_seminorm,
     initial_datum,
     l2_norm,
     make_grid,
@@ -312,6 +314,73 @@ class TestSimulate:
         p = regularize_potential(PotentialSpec("zero"), make_grid(0.0, 10.0, 512), 0.3)
         with pytest.raises(ValueError):
             simulate(u, p, SolverConfig())
+
+    # 16 states fill one stacked FFT block at n = 1024
+    @pytest.mark.parametrize("n_records", [2, 15, 16, 17, 21])
+    @pytest.mark.parametrize("backend,s", [("crank_nicolson", 1.0),
+                                           ("spectral_strang", 0.75),
+                                           ("spectral_strang", 1.0)])
+    def test_observables_bit_identical_to_per_state(self, backend, s, n_records):
+        order = FractionalOrder(s)
+        p = potential("harmonic_shifted")
+        cfg = SolverConfig(backend=backend, dt=DT, t_end=(n_records - 1) * DT, order=order)
+        tr = simulate(initial_datum(GRID), p, cfg)
+        assert len(tr.states) == n_records
+        parts = [energy(u, p, order) for u in tr.states]
+        assert np.array_equal(tr.mass, [l2_norm(u) for u in tr.states])
+        assert np.array_equal(tr.hs_part, [hs_seminorm(u, s) for u in tr.states])
+        assert np.array_equal(tr.hs_part, [q[0] for q in parts])
+        assert np.array_equal(tr.potential_part, [q[1] for q in parts])
+        assert np.array_equal(tr.energy, [q[2] for q in parts])
+
+    def test_recorded_states_are_frozen_fields(self):
+        tr = simulate(initial_datum(GRID), potential("delta"), SolverConfig(t_end=3 * DT))
+        for u in tr.states:
+            assert isinstance(u, ComplexField) and u.grid == GRID
+            assert u.values.shape == (GRID.n,) and u.values.dtype == complex
+            with pytest.raises(ValueError):
+                u.values[0] = 1.0
+
+    @pytest.mark.parametrize("bad", ["inf_real", "nan_imag"])
+    def test_one_bad_component_aborts(self, monkeypatch, bad):
+        def bad_step(self, values):
+            out = values.copy()
+            out[700] = complex(np.inf, 0.0) if bad == "inf_real" else complex(1e-3, np.nan)
+            return out
+
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", bad_step)
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214)
+        with pytest.raises(NumericalAbort) as err:
+            simulate(initial_datum(GRID), potential("zero"), cfg)
+        assert err.value.step == 1
+        assert np.isfinite(err.value.worst)
+
+    def test_abort_in_shortened_last_step(self, monkeypatch):
+        original = fracschrod.solver._SplitStep.step
+        calls = []
+
+        def step(self, values):
+            calls.append(1)
+            out = original(self, values)
+            return out * np.nan if len(calls) == 5 else out
+
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", step)
+        t_end = 0.05  # four full steps, then a shortened one
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=t_end)
+        with pytest.raises(NumericalAbort) as err:
+            simulate(initial_datum(GRID), potential("zero"), cfg)
+        assert err.value.step == 5
+        assert err.value.time == t_end
+
+    def test_overflowing_modulus_of_finite_components_does_not_abort(self, monkeypatch):
+        huge = 1.7e308 * (1 + 1j)  # finite parts, |huge| overflows to inf
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
+                            lambda self, values: np.full_like(values, huge))
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = simulate(initial_datum(GRID), potential("zero"), cfg)
+        assert len(tr.states) == 3
+        assert np.all(tr.states[-1].values == huge)
 
     def test_nan_state_aborts_with_diagnostics(self, monkeypatch):
         def bad_step(self, values):
