@@ -9,17 +9,9 @@ conservation behaviour.
 
 import numpy as np
 
-from fracschrod import (
-    BACKENDS,
-    ComplexField,
-    PotentialSpec,
-    SolverConfig,
-    initial_datum,
-    l2_norm,
-    make_grid,
-    regularize_potential,
-    simulate,
-)
+from fracschrod.grid import ComplexField, l2_norm, make_grid
+from fracschrod.mollifier import PotentialSpec, regularize_potential
+from fracschrod.solver import BACKENDS, SolverConfig, initial_datum, simulate
 
 T_END = 0.214
 DT = 0.0107

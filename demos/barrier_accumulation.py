@@ -8,15 +8,10 @@ x = 5 with support disjoint from the barrier, so the window starts empty.
 
 import numpy as np
 
-from fracschrod import (
-    PotentialSpec,
-    SolverConfig,
-    initial_datum,
-    make_grid,
-    regularize_potential,
-    simulate,
-    window_mass,
-)
+from fracschrod.grid import make_grid
+from fracschrod.mollifier import PotentialSpec, regularize_potential
+from fracschrod.observables import window_mass
+from fracschrod.solver import SolverConfig, initial_datum, simulate
 
 grid = make_grid(0.0, 10.0, 1024)
 u0 = initial_datum(grid)

@@ -10,19 +10,11 @@ ones, changing the shape of the spreading envelope.
 
 import numpy as np
 
-from fracschrod import (
-    ComplexField,
-    FractionalOrder,
-    PotentialSpec,
-    SolverConfig,
-    free_propagator,
-    initial_datum,
-    l2_norm,
-    make_grid,
-    position_density,
-    regularize_potential,
-    simulate,
-)
+from fracschrod.grid import ComplexField, l2_norm, make_grid
+from fracschrod.mollifier import PotentialSpec, regularize_potential
+from fracschrod.observables import position_density
+from fracschrod.operators import FractionalOrder, free_propagator
+from fracschrod.solver import SolverConfig, initial_datum, simulate
 
 grid = make_grid(0.0, 10.0, 1024)
 u0 = initial_datum(grid)

@@ -7,10 +7,10 @@ look like once sampled on a grid.
 
 import numpy as np
 
-from fracschrod import (
+from fracschrod.grid import make_grid
+from fracschrod.mollifier import (
     PotentialSpec,
     friedrichs_mollifier,
-    make_grid,
     mollify_samples,
     regularize_potential,
     scaled_mollifier,

@@ -8,13 +8,9 @@ That gap between potential growth and solution boundedness is the whole
 point of the regularization framework.
 """
 
-from fracschrod import (
-    DEFAULT_EPSILONS,
-    ExperimentConfig,
-    PotentialSpec,
-    SolverConfig,
-    epsilon_sweep,
-)
+from fracschrod.harness import DEFAULT_EPSILONS, ExperimentConfig, epsilon_sweep
+from fracschrod.mollifier import PotentialSpec
+from fracschrod.solver import SolverConfig
 
 solver = SolverConfig(backend="crank_nicolson", dt=0.0107, t_end=0.214)
 

@@ -1,4 +1,4 @@
-"""Uniform periodic grids and the discrete L2 / Sobolev machinery.
+"""Uniform periodic grids, fields, and the discrete L2 norm and Sobolev seminorm.
 
 Everything downstream (mollifiers, operators, time steppers, observables)
 lives on a uniform one-dimensional grid whose resolution is a power of two,
@@ -20,9 +20,6 @@ __all__ = [
     "RealField",
     "make_grid",
     "l2_norm",
-    "inner_product",
-    "spectral_coefficients",
-    "inverse_spectral",
     "hs_seminorm",
     "require_same_grid",
 ]
@@ -140,21 +137,6 @@ def require_same_grid(a, b) -> None:
 def l2_norm(f) -> float:
     """Discrete L2 norm sqrt(dx * sum |f_j|^2)."""
     return float(np.sqrt(f.grid.dx) * np.linalg.norm(f.values))
-
-
-def inner_product(f: ComplexField, g: ComplexField) -> complex:
-    """Discrete inner product dx * sum conj(f_j) g_j."""
-    require_same_grid(f, g)
-    return complex(f.grid.dx * np.vdot(f.values, g.values))
-
-
-def spectral_coefficients(f: ComplexField) -> ComplexField:
-    """Unitary DFT; coefficient k pairs with wavenumber grid.wavenumbers[k]."""
-    return ComplexField(f.grid, np.fft.fft(f.values, norm="ortho"))
-
-
-def inverse_spectral(coeffs: ComplexField) -> ComplexField:
-    return ComplexField(coeffs.grid, np.fft.ifft(coeffs.values, norm="ortho"))
 
 
 def hs_seminorm(f: ComplexField, s: float) -> float:

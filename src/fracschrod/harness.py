@@ -15,7 +15,7 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
-manifest.json next to the tables, never into the CSVs themselves.
+manifest.json next to the tables, never into the CSVs or the reports.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .mollifier import (
     regularize_potential,
     sup_norm,
 )
-from .observables import composite_norm, count_local_maxima, position_density, window_mass
+from .observables import count_local_maxima, position_density, window_mass
 from .solver import NumericalAbort, SolverConfig, Trajectory, initial_datum, simulate
 
 __all__ = [
@@ -119,9 +120,9 @@ class ExperimentConfig:
         if len(set(eps)) != len(eps):
             raise ValueError("widths must be distinct")
         object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
-        make_grid(self.x_min, self.x_max, self.n)  # fail fast on a bad grid
+        self.grid  # fail fast on a bad grid
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
         return make_grid(self.x_min, self.x_max, self.n)
 
@@ -189,7 +190,7 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-width records plus fitted growth exponents and run metadata.
+    """Per-width records plus fitted growth exponents.
 
     A fit whose RMS residual in log space exceeds 0.1 is flagged rather than
     silently accepted; flagged slopes should not be quoted as rates.
@@ -203,8 +204,6 @@ class SweepReport:
     solution_moderateness_n: float | None
     solution_residual: float | None
     solution_fit_flagged: bool
-    config_digest: str
-    created: str
 
 
 RESIDUAL_FLAG_THRESHOLD = 0.1
@@ -224,7 +223,6 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
     fits N close to 0, the scaled bump close to 1, its square close to 2.
     The potential slope is None when the potential vanishes identically.
     """
-    order = cfg.solver.order
 
     def one(epsilon: float) -> SweepRecord:
         trajectory, potential, _ = single_run(cfg, epsilon)
@@ -237,11 +235,12 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
             sup_norm_p=sup_norm(potential.field),
             final_mass=float(trajectory.mass[-1]),
             final_energy=float(trajectory.energy[-1]),
-            final_composite_norm=composite_norm(final, order),
+            # composite_norm of the last and of every state: the same
+            # l2_norm + hs_seminorm sums the trajectory records
+            final_composite_norm=float(trajectory.mass[-1] + trajectory.hs_part[-1]),
             window_mass_at_site=window_mass(
                 final, site - WINDOW_HALF_WIDTH, site + WINDOW_HALF_WIDTH),
             n_maxima=count_local_maxima(density, floor),
-            # composite_norm of every state: the same l2_norm + hs_seminorm sums
             sup_composite_norm=float(np.max(trajectory.mass + trajectory.hs_part)),
         )
 
@@ -258,8 +257,6 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
         solution_moderateness_n=u_slope,
         solution_residual=u_res,
         solution_fit_flagged=u_flag,
-        config_digest=config_hash(cfg),
-        created=datetime.now(timezone.utc).isoformat(),
     )
 
 

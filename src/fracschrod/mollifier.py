@@ -18,7 +18,6 @@ __all__ = [
     "POTENTIAL_KINDS",
     "REGULAR_KINDS",
     "SINGULAR_KINDS",
-    "HARMONIC_CENTER",
     "PotentialSpec",
     "RegularizedPotential",
     "bump",
@@ -91,8 +90,10 @@ def mollify_samples(values, grid: Grid, epsilon: float):
     half = int(np.floor(epsilon / grid.dx))
     offsets = grid.dx * np.arange(-half, half + 1)
     kernel = friedrichs_mollifier(offsets / epsilon)
-    smoothed = np.convolve(values, kernel, mode="same")
-    window = np.convolve(np.ones(grid.n), kernel, mode="same")
+    # the centred n samples of the full convolution; mode="same" would return
+    # len(kernel) samples when the kernel is longer than the grid
+    smoothed = np.convolve(values, kernel)[half:half + grid.n]
+    window = np.convolve(np.ones(grid.n), kernel)[half:half + grid.n]
     return smoothed / window
 
 

@@ -1,10 +1,8 @@
-"""Fourier-side operators: fractional Laplacian, free flow, potential phase.
+"""Fourier-side operators: the fractional order, fractional Laplacian, free flow.
 
-All three act diagonally, either on spectral coefficients (symbol |xi|^(2s))
-or pointwise in space.  The time convention throughout the package is
-i u_t = [(-Delta)^s + p] u, so the free flow multiplies coefficient k by
-exp(-i |xi_k|^(2s) t) and the potential flow multiplies samples by
-exp(-i p(x) t).
+Both operators act diagonally on spectral coefficients (symbol |xi|^(2s)).
+The time convention throughout the package is i u_t = [(-Delta)^s + p] u,
+so the free flow multiplies coefficient k by exp(-i |xi_k|^(2s) t).
 """
 
 from __future__ import annotations
@@ -13,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, require_same_grid
+from .grid import ComplexField
 
 __all__ = [
     "FractionalOrder",
     "fractional_laplacian",
     "free_propagator",
-    "potential_phase",
 ]
 
 
@@ -49,15 +46,3 @@ def free_propagator(f: ComplexField, t: float, order: FractionalOrder) -> Comple
         raise ValueError(f"time must be finite, got {t}")
     symbol = np.abs(f.grid.wavenumbers) ** (2.0 * order.s)
     return ComplexField(f.grid, np.fft.ifft(np.exp(-1j * symbol * t) * np.fft.fft(f.values)))
-
-
-def potential_phase(f: ComplexField, p, t: float) -> ComplexField:
-    """Exact potential-only flow: samples pick up the phase exp(-i p(x) t).
-
-    p may be a RealField of samples or a RegularizedPotential wrapping one.
-    """
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    samples = getattr(p, "field", p)
-    require_same_grid(f, samples)
-    return ComplexField(f.grid, np.exp(-1j * samples.values * t) * f.values)

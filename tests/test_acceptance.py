@@ -14,28 +14,24 @@ import csv
 import numpy as np
 import pytest
 
-from fracschrod import (
-    BACKENDS,
-    ComplexField,
+from fracschrod.grid import ComplexField, RealField, l2_norm, make_grid
+from fracschrod.harness import (
     ExperimentConfig,
-    FractionalOrder,
-    PotentialSpec,
-    RealField,
-    SolverConfig,
     consistency_experiment,
-    count_local_maxima,
     delta_squared_energy_scaling,
     emit_figure_data,
     epsilon_sweep,
-    fractional_laplacian,
-    free_propagator,
+    uniqueness_experiment,
+)
+from fracschrod.mollifier import PotentialSpec, regularize_potential
+from fracschrod.observables import count_local_maxima
+from fracschrod.operators import FractionalOrder, fractional_laplacian, free_propagator
+from fracschrod.solver import (
+    BACKENDS,
+    SolverConfig,
     initial_datum,
-    l2_norm,
-    make_grid,
-    regularize_potential,
     simulate,
     solve_tridiagonal,
-    uniqueness_experiment,
 )
 
 DT = 0.0107

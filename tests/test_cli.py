@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import fracschrod.cli as cli
-from fracschrod import NumericalAbort
 from fracschrod.cli import (
     BACKEND_MAP,
     CONFIG_KEYS,
@@ -17,6 +16,7 @@ from fracschrod.cli import (
     main,
     read_config_file,
 )
+from fracschrod.solver import NumericalAbort
 
 FAST = ["--nx", "256", "--dt", "0.0107", "--t-end", "0.0214"]
 SRC = Path(__file__).resolve().parents[1] / "src"

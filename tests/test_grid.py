@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from fracschrod import (
+from fracschrod.grid import (
     ComplexField,
     Grid,
     RealField,
     hs_seminorm,
-    initial_datum,
-    inner_product,
-    inverse_spectral,
     l2_norm,
     make_grid,
     require_same_grid,
-    spectral_coefficients,
 )
+from fracschrod.solver import initial_datum
 
 # independently derived reference values for the compactly supported
 # initial bump (adaptive quadrature at tolerance 1e-12)
@@ -106,47 +103,6 @@ class TestNorms:
         g = make_grid(0.0, 10.0, 4096)
         u = initial_datum(g)
         assert abs(l2_norm(u) - BUMP_L2) < 1e-6
-
-    def test_inner_product_conjugate_symmetry(self):
-        g = make_grid(0.0, 10.0, 128)
-        f, h = random_field(g, 1), random_field(g, 2)
-        assert inner_product(f, h) == pytest.approx(np.conj(inner_product(h, f)))
-
-    def test_inner_product_recovers_norm(self):
-        g = make_grid(0.0, 10.0, 128)
-        f = random_field(g, 3)
-        assert inner_product(f, f).real == pytest.approx(l2_norm(f) ** 2, rel=1e-13)
-
-
-class TestSpectral:
-    def test_round_trip(self):
-        g = make_grid(0.0, 10.0, 256)
-        f = random_field(g, 4)
-        back = inverse_spectral(spectral_coefficients(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
-
-    def test_plancherel(self):
-        g = make_grid(-1.0, 3.0, 512)
-        f = random_field(g, 5)
-        coeffs = spectral_coefficients(f)
-        assert l2_norm(coeffs) == pytest.approx(l2_norm(f), rel=1e-13)
-
-    def test_constant_is_pure_dc(self):
-        g = make_grid(0.0, 10.0, 64)
-        f = ComplexField(g, np.full(64, 2.0 + 0j))
-        c = spectral_coefficients(f).values
-        assert np.max(np.abs(c[1:])) < 1e-13
-        assert c[0] == pytest.approx(2.0 * np.sqrt(64))
-
-    def test_single_mode_lands_in_one_bin(self):
-        g = make_grid(0.0, 10.0, 64)
-        k = 2 * np.pi / g.length
-        f = ComplexField(g, np.exp(1j * k * g.nodes))
-        c = spectral_coefficients(f).values
-        assert abs(c[1]) == pytest.approx(np.sqrt(64), rel=1e-13)
-        mask = np.ones(64, dtype=bool)
-        mask[1] = False
-        assert np.max(np.abs(c[mask])) < 1e-12
 
 
 class TestHsSeminorm:

@@ -4,30 +4,29 @@ import os
 import numpy as np
 import pytest
 
-from fracschrod import (
+from fracschrod.grid import ComplexField, RealField, l2_norm, make_grid
+from fracschrod.harness import (
     DEFAULT_EPSILONS,
-    ComplexField,
     ExperimentConfig,
-    FractionalOrder,
-    PotentialSpec,
-    RealField,
-    RegularizedPotential,
-    SolverConfig,
-    composite_norm,
     config_hash,
     consistency_experiment,
     default_perturbation,
     delta_squared_energy_scaling,
     emit_figure_data,
     epsilon_sweep,
-    l2_norm,
-    make_grid,
-    regularize_potential,
-    simulate,
+    prepared_datum,
     single_run,
     uniqueness_experiment,
+    write_csv,
 )
-from fracschrod.harness import prepared_datum, write_csv
+from fracschrod.mollifier import (
+    PotentialSpec,
+    RegularizedPotential,
+    regularize_potential,
+)
+from fracschrod.observables import composite_norm
+from fracschrod.operators import FractionalOrder
+from fracschrod.solver import SolverConfig, simulate
 
 DT = 0.0107
 
@@ -67,6 +66,12 @@ class TestExperimentConfig:
         cfg = quick_config()
         assert cfg.grid.n == 1024
         assert cfg.grid.length == pytest.approx(10.0)
+
+    def test_grid_built_once(self):
+        cfg = quick_config()
+        assert cfg.grid is cfg.grid
+        fresh = quick_config()
+        assert cfg == fresh and hash(cfg) == hash(fresh)
 
     def test_defaults(self):
         cfg = ExperimentConfig()
@@ -135,12 +140,6 @@ class TestEpsilonSweep:
         assert report.potential_moderateness_n is None
         assert not report.potential_fit_flagged
 
-    def test_metadata_present(self):
-        cfg = quick_config()
-        report = epsilon_sweep(cfg)
-        assert report.config_digest == config_hash(cfg)
-        assert report.created
-
     def test_sup_composite_norm_is_max_over_states(self):
         cfg = fractional_config()
         report = epsilon_sweep(cfg)
@@ -148,6 +147,7 @@ class TestEpsilonSweep:
             tr, _, _ = single_run(cfg, rec.epsilon)
             assert rec.sup_composite_norm == max(
                 composite_norm(u, cfg.solver.order) for u in tr.states)
+            assert rec.final_composite_norm == composite_norm(tr.states[-1], cfg.solver.order)
 
     def test_disjoint_supports_give_zero_window_mass_at_start(self):
         report = epsilon_sweep(quick_config(t_end=0.214))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracschrod import (
+from fracschrod.grid import RealField, make_grid
+from fracschrod.mollifier import (
     PotentialSpec,
-    RealField,
     RegularizedPotential,
     bump_normalization,
     friedrichs_mollifier,
-    make_grid,
     moderateness_exponent,
     mollify_samples,
     regularize_potential,
@@ -98,6 +97,22 @@ class TestMollifySamples:
     def test_preserves_nonnegativity(self):
         vals = np.abs(np.sin(SITE_GRID.nodes))
         assert np.min(mollify_samples(vals, SITE_GRID, 0.1)) >= 0.0
+
+    @pytest.mark.parametrize("n, eps", [(8, 1.0), (16, 1.0), (16, 0.5), (16, 0.25)])
+    def test_matches_direct_windowed_sum(self, n, eps):
+        # the first two kernels (9 and 17 nodes) are longer than the grid
+        g = make_grid(4.0, 6.0, n)
+        vals = np.random.default_rng(n).standard_normal(n)
+        half = int(np.floor(eps / g.dx))
+        weights = friedrichs_mollifier(g.dx * np.arange(-half, half + 1) / eps)
+        expected = np.empty(n)
+        for j in range(n):
+            k = np.arange(max(0, j - half), min(n, j + half + 1))
+            w = weights[half + j - k]
+            expected[j] = np.sum(w * vals[k]) / np.sum(w)
+        out = mollify_samples(vals, g, eps)
+        assert out.shape == (n,)
+        assert np.allclose(out, expected, rtol=1e-13, atol=0.0)
 
 
 class TestPotentialSpec:

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from fracschrod import (
-    ComplexField,
-    FractionalOrder,
-    PotentialSpec,
-    RealField,
+from fracschrod.grid import ComplexField, RealField, hs_seminorm, l2_norm, make_grid
+from fracschrod.mollifier import PotentialSpec, regularize_potential
+from fracschrod.observables import (
+    BLOCK_VALUES,
     composite_norm,
     count_local_maxima,
     energy,
-    hs_seminorm,
-    initial_datum,
-    l2_norm,
-    make_grid,
     position_density,
-    regularize_potential,
+    state_observables,
     window_mass,
 )
-from fracschrod.observables import BLOCK_VALUES, state_observables
+from fracschrod.operators import FractionalOrder
+from fracschrod.solver import initial_datum
 
 BUMP_L2 = 0.009848179605063479
 BUMP_DERIV_L2 = 0.0467915156341152

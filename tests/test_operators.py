@@ -1,27 +1,20 @@
 import numpy as np
 import pytest
 
-from fracschrod import (
-    ComplexField,
-    FractionalOrder,
-    PotentialSpec,
-    RealField,
-    fractional_laplacian,
-    free_propagator,
-    hs_seminorm,
-    initial_datum,
-    inner_product,
-    l2_norm,
-    make_grid,
-    potential_phase,
-    regularize_potential,
-)
+from fracschrod.grid import ComplexField, hs_seminorm, l2_norm, make_grid
+from fracschrod.operators import FractionalOrder, fractional_laplacian, free_propagator
+from fracschrod.solver import initial_datum
 
 
 def random_field(grid, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     return ComplexField(grid, vals)
+
+
+def inner_product(f, g):
+    """Discrete inner product dx * sum conj(f_j) g_j."""
+    return complex(f.grid.dx * np.vdot(f.values, g.values))
 
 
 class TestFractionalOrder:
@@ -130,47 +123,3 @@ class TestFreePropagator:
         f = ComplexField(g, np.ones(64, dtype=complex))
         with pytest.raises(ValueError):
             free_propagator(f, np.inf, FractionalOrder(1.0))
-
-
-class TestPotentialPhase:
-    def test_zero_potential_is_identity(self):
-        g = make_grid(0.0, 10.0, 128)
-        f = random_field(g, 41)
-        p = RealField(g, np.zeros(128))
-        out = potential_phase(f, p, 2.0)
-        assert np.max(np.abs(out.values - f.values)) < 1e-14
-
-    def test_zero_time_is_identity(self):
-        g = make_grid(0.0, 10.0, 128)
-        f = random_field(g, 42)
-        p = RealField(g, (g.nodes - 5.0) ** 2)
-        out = potential_phase(f, p, 0.0)
-        assert np.array_equal(out.values, f.values)
-
-    def test_unit_potential_flips_sign_at_pi(self):
-        g = make_grid(0.0, 10.0, 128)
-        f = random_field(g, 43)
-        p = RealField(g, np.ones(128))
-        out = potential_phase(f, p, np.pi)
-        assert np.max(np.abs(out.values + f.values)) < 1e-12
-
-    def test_pointwise_modulus_preserved(self):
-        g = make_grid(0.0, 10.0, 128)
-        f = random_field(g, 44)
-        p = RealField(g, np.abs(np.sin(g.nodes)))
-        out = potential_phase(f, p, 1.3)
-        assert np.max(np.abs(np.abs(out.values) - np.abs(f.values))) < 1e-13
-
-    def test_accepts_wrapped_potential(self):
-        g = make_grid(0.0, 10.0, 128)
-        f = random_field(g, 45)
-        p = regularize_potential(PotentialSpec("constant_one"), g, 0.3)
-        via_wrapper = potential_phase(f, p, 0.9)
-        via_field = potential_phase(f, p.field, 0.9)
-        assert np.array_equal(via_wrapper.values, via_field.values)
-
-    def test_grid_mismatch_rejected(self):
-        f = random_field(make_grid(0.0, 10.0, 128), 46)
-        p = RealField(make_grid(0.0, 5.0, 128), np.zeros(128))
-        with pytest.raises(ValueError):
-            potential_phase(f, p, 1.0)

@@ -2,28 +2,20 @@ import numpy as np
 import pytest
 
 import fracschrod.solver
-from fracschrod import (
+from fracschrod.grid import ComplexField, hs_seminorm, l2_norm, make_grid
+from fracschrod.mollifier import PotentialSpec, regularize_potential, sup_norm
+from fracschrod.observables import composite_norm, energy, window_mass
+from fracschrod.operators import FractionalOrder, free_propagator
+from fracschrod.solver import (
     BACKENDS,
-    ComplexField,
-    FractionalOrder,
     NumericalAbort,
-    PotentialSpec,
     SolverConfig,
     Trajectory,
     cn_step,
-    composite_norm,
-    energy,
-    free_propagator,
-    hs_seminorm,
     initial_datum,
-    l2_norm,
-    make_grid,
-    regularize_potential,
     simulate,
     solve_tridiagonal,
     strang_step,
-    sup_norm,
-    window_mass,
 )
 
 GRID = make_grid(0.0, 10.0, 1024)
