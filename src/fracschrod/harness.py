@@ -397,12 +397,12 @@ def delta_squared_energy_scaling(cfg: ExperimentConfig,
 
 
 def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):  # most cells, so tested first
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
@@ -432,20 +432,16 @@ def manifest_payload(cfg: ExperimentConfig, command: str, files, **extra) -> dic
 
 
 def density_rows(state: ComplexField):
-    density = position_density(state).values
-    for x, u, d in zip(state.grid.nodes, state.values, density):
-        yield (float(x), float(u.real), float(u.imag), float(d))
+    # tolist() yields Python floats, which _cell formats fastest
+    values = state.values
+    return zip(state.grid.nodes.tolist(), values.real.tolist(), values.imag.tolist(),
+               position_density(state).values.tolist())
 
 
 def energy_rows(trajectory: Trajectory):
-    for i, t in enumerate(trajectory.times):
-        yield (
-            float(t),
-            float(trajectory.mass[i]),
-            float(trajectory.energy[i]),
-            float(trajectory.hs_part[i]),
-            float(trajectory.potential_part[i]),
-        )
+    return zip(trajectory.times.tolist(), trajectory.mass.tolist(),
+               trajectory.energy.tolist(), trajectory.hs_part.tolist(),
+               trajectory.potential_part.tolist())
 
 
 def write_sweep_csv(report: SweepReport, path: str) -> None:

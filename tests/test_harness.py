@@ -342,3 +342,14 @@ class TestCsvFormat:
         path = tmp_path / "t.csv"
         write_csv(str(path), ("n", "x"), [(16, 0.5)])
         assert path.read_text().splitlines()[1] == "16,0.5"
+
+    def test_cells_match_repr_of_float(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [(-0.0, 1e-05, 1.5e+16, 7, True),
+                (np.float64(-0.0), np.float64(1e-05), np.float64(1.5e+16), np.int64(7),
+                 np.bool_(False))]
+        write_csv(str(path), ("a", "b", "c", "n", "flag"), rows)
+        expected = [",".join(str(int(v)) if isinstance(v, (int, np.integer, np.bool_))
+                             else repr(float(v)) for v in row) for row in rows]
+        assert path.read_text().splitlines()[1:] == expected
+        assert expected == ["-0.0,1e-05,1.5e+16,7,1", "-0.0,1e-05,1.5e+16,7,0"]

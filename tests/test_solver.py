@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,56 @@ class TestStrangStep:
         p = potential("harmonic_shifted")
         finals = [simulate(u, p, c).states[-1] for c in cfgs]
         assert gap(finals[0], finals[1]) < 5e-3
+
+
+class TestSplitStepKernel:
+    """The in-place Strang step against its arithmetic and its allocations."""
+
+    @staticmethod
+    def stepper(n, s=1.0):
+        grid = make_grid(0.0, 10.0, n)
+        p = potential("delta_squared", eps=0.05, grid=grid)
+        return grid, fracschrod.solver._SplitStep(grid, p.field.values, DT, FractionalOrder(s))
+
+    # n = 16384 is where numpy elides temporaries of an unnamed expression
+    @pytest.mark.parametrize("s", [0.75, 1.0])
+    @pytest.mark.parametrize("n", [1024, 4096, 16384])
+    def test_step_equals_named_temporaries(self, n, s):
+        grid, stepper = self.stepper(n, s)
+        hp, kin = stepper._half_phase, stepper._kinetic
+        v = initial_datum(grid).values
+        for _ in range(30):
+            a = hp * v
+            b = np.fft.fft(a)
+            c = kin * b
+            d = np.fft.ifft(c)
+            expected = hp * d
+            v = stepper.step(v)
+            assert np.array_equal(v, expected)
+
+    def test_step_allocates_only_the_new_state(self):
+        n = 16384
+        grid, stepper = self.stepper(n)
+        v = stepper.step(initial_datum(grid).values)  # warm-up: FFT plans
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            out = stepper.step(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,)
+        assert peak - baseline <= 1.1 * n * 16
+
+    def test_recorded_states_share_no_memory(self):
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.05,
+                           order=FractionalOrder(0.75))
+        tr = simulate(initial_datum(GRID), potential("delta_squared", eps=0.05), cfg)
+        arrays = [u.values for u in tr.states]
+        assert len(arrays) == 6  # four full steps, a shortened one, the datum
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestSimulate:
