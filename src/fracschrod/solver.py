@@ -16,10 +16,11 @@ roundoff.  A run lands exactly on t_end by shortening the last step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import ComplexField, Grid
+from .grid import ComplexField, Grid, RealField, _readonly
 from .mollifier import RegularizedPotential, bump
 from .observables import state_observables
 from .operators import FractionalOrder
@@ -91,26 +92,52 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states and scalar observables of one run."""
+    """Recorded states of one run, with their observables computed on first read.
+
+    mass, hs_part, potential_part and energy hold one read-only entry per
+    recorded state.  The first read of any of them computes all four in one
+    blocked pass (`state_observables`) and caches them on the trajectory, so
+    a run whose observables are never read never pays for them.
+    """
 
     times: np.ndarray
     states: tuple[ComplexField, ...]
-    mass: np.ndarray
-    energy: np.ndarray
-    hs_part: np.ndarray
-    potential_part: np.ndarray
+    potential: RealField
+    order: FractionalOrder
 
     def __post_init__(self) -> None:
-        lengths = {len(a) for a in (self.times, self.states, self.mass, self.energy,
-                                    self.hs_part, self.potential_part)}
-        if len(lengths) != 1:
-            raise ValueError("trajectory arrays must have equal lengths")
+        if len(self.times) != len(self.states):
+            raise ValueError("trajectory times and states must have equal lengths")
+        if any(u.grid != self.potential.grid for u in self.states):
+            raise ValueError("states and potential live on different grids")
         if len(self.times) == 0:
             raise ValueError("trajectory must hold at least the initial record")
         if self.times[0] != 0.0:
             raise ValueError("trajectories start at t = 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("recorded times must be strictly increasing")
+
+    @cached_property
+    def _observables(self) -> tuple[np.ndarray, ...]:
+        arrays = state_observables(self.potential.grid, [u.values for u in self.states],
+                                   self.potential.values, self.order.s)
+        return tuple(_readonly(a) for a in arrays)
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self._observables[0]
+
+    @property
+    def hs_part(self) -> np.ndarray:
+        return self._observables[1]
+
+    @property
+    def potential_part(self) -> np.ndarray:
+        return self._observables[2]
+
+    @property
+    def energy(self) -> np.ndarray:
+        return self._observables[3]
 
 
 def initial_datum(grid: Grid) -> ComplexField:
@@ -253,12 +280,13 @@ def strang_step(u: ComplexField, p: RegularizedPotential, dt: float,
 
 def simulate(u0: ComplexField, potential: RegularizedPotential,
              config: SolverConfig) -> Trajectory:
-    """March u0 to config.t_end and record states plus observables.
+    """March u0 to config.t_end and record its states.
 
     The initial state is always recorded, then every record_every-th step,
     then the final state with its time labeled exactly t_end.  Any non-finite
-    state aborts the run with step diagnostics.  The observables of all
-    recorded states are computed after the last step, in one blocked pass.
+    state aborts the run with step diagnostics.  The observables of the
+    recorded states are computed on their first read from the trajectory,
+    not here.
     """
     if u0.grid != potential.field.grid:
         raise ValueError("datum and potential live on different grids")
@@ -291,16 +319,11 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
         _checked_peak(values, n_full + 1, config.t_end, worst)
     records.append((config.t_end, values))
 
-    arrays = [v for _, v in records]
-    mass, hs_part, potential_part, total = state_observables(
-        grid, arrays, p_values, config.order.s)
     return Trajectory(
         times=np.array([t for t, _ in records]),
-        states=tuple(ComplexField.from_checked(grid, v) for v in arrays),
-        mass=mass,
-        energy=total,
-        hs_part=hs_part,
-        potential_part=potential_part,
+        states=tuple(ComplexField.from_checked(grid, v) for _, v in records),
+        potential=potential.field,
+        order=config.order,
     )
 
 

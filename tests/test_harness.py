@@ -1,9 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fracschrod.solver
 from fracschrod.grid import ComplexField, RealField, l2_norm, make_grid
 from fracschrod.harness import (
     DEFAULT_EPSILONS,
@@ -257,6 +259,43 @@ class TestEnergyScaling:
         report = delta_squared_energy_scaling(cfg)
         assert len(report.max_energies) == 3
         assert all(e > 0 for e in report.max_energies)
+
+
+class TestObservablesOnDemand:
+    """A trajectory computes its observables on first read, once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = fracschrod.solver.state_observables
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fracschrod.solver, "state_observables", counting)
+        return counted
+
+    def test_uniqueness_computes_none(self, calls):
+        uniqueness_experiment(fractional_config())
+        assert len(calls) == 0
+
+    def test_matched_consistency_computes_none(self, calls):
+        cfg = replace(fractional_config(), potential=PotentialSpec("harmonic_shifted"))
+        consistency_experiment(cfg, reference="matched")
+        assert len(calls) == 0
+
+    def test_sweep_computes_one_pass_per_width(self, calls):
+        cfg = fractional_config()
+        epsilon_sweep(cfg)
+        assert len(calls) == len(cfg.epsilons) == 3
+
+    def test_repeated_reads_compute_once(self, calls):
+        tr, _, _ = single_run(fractional_config(), 0.1)
+        for _ in range(2):
+            parts = (tr.mass, tr.hs_part, tr.potential_part, tr.energy)
+            assert all(len(a) == len(tr.times) for a in parts)
+        assert len(calls) == 1
 
 
 class TestFigureEmission:

@@ -454,35 +454,46 @@ class TestSimulate:
 
 
 class TestTrajectoryValidation:
+    @staticmethod
+    def build(times, states):
+        return Trajectory(times=np.array(times), states=states,
+                          potential=potential("delta").field, order=FractionalOrder(1.0))
+
     def test_rejects_nonzero_start(self):
         u = initial_datum(GRID)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.1, 0.2]), states=(u, u),
-                       mass=np.ones(2), energy=np.ones(2),
-                       hs_part=np.ones(2), potential_part=np.ones(2))
+            self.build([0.1, 0.2], (u, u))
 
     def test_rejects_non_increasing_times(self):
         u = initial_datum(GRID)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.2, 0.2]), states=(u, u, u),
-                       mass=np.ones(3), energy=np.ones(3),
-                       hs_part=np.ones(3), potential_part=np.ones(3))
+            self.build([0.0, 0.2, 0.2], (u, u, u))
 
     def test_rejects_length_mismatch(self):
         u = initial_datum(GRID)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.1]), states=(u,),
-                       mass=np.ones(2), energy=np.ones(2),
-                       hs_part=np.ones(2), potential_part=np.ones(2))
+            self.build([0.0, 0.1], (u,))
 
-    @pytest.mark.parametrize("short", ["hs_part", "potential_part"])
-    def test_rejects_short_energy_part(self, short):
-        u = initial_datum(GRID)
-        arrays = dict(mass=np.ones(2), energy=np.ones(2),
-                      hs_part=np.ones(2), potential_part=np.ones(2))
-        arrays[short] = np.ones(1)
+    def test_rejects_states_off_the_potential_grid(self):
+        u = initial_datum(make_grid(0.0, 10.0, 512))
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.1]), states=(u, u), **arrays)
+            self.build([0.0, 0.1], (u, u))
+
+    # t_end = 7.5 dt: seven full steps, a shortened eighth, records at 0, 3, 6, t_end
+    @pytest.mark.parametrize("backend,s", [("crank_nicolson", 1.0), ("spectral_strang", 0.75)])
+    def test_observables_follow_the_recorded_states(self, backend, s):
+        cfg = SolverConfig(backend=backend, dt=DT, t_end=7.5 * DT, order=FractionalOrder(s),
+                           record_every=3)
+        tr = simulate(initial_datum(GRID), potential("delta"), cfg)
+        assert len(tr.times) == 4 and tr.times[-1] == 7.5 * DT
+        assert (len(tr.mass) == len(tr.hs_part) == len(tr.potential_part)
+                == len(tr.energy) == len(tr.times))
+
+    def test_observables_are_read_only(self):
+        tr = simulate(initial_datum(GRID), potential("delta"), SolverConfig(t_end=3 * DT))
+        for name in ("mass", "hs_part", "potential_part", "energy"):
+            with pytest.raises(ValueError):
+                getattr(tr, name)[0] = 1.0
 
 
 def test_numerical_abort_message_carries_width_tag():
