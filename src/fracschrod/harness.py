@@ -13,6 +13,10 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 * delta_squared_energy_scaling: track the largest energy per width for the
   squared-bump model.
 
+Each driver runs its widths one at a time and keeps only what it reports
+(a record, a gap, a peak, a file name), so no more than one width's
+trajectories are alive at once.
+
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
 manifest.json next to the tables, never into the CSVs or the reports.
@@ -261,7 +265,16 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
 
 
 def default_perturbation(grid: Grid, center: float) -> RealField:
-    """Unit-height smooth bump supported on (center - 1, center + 1)."""
+    """Unit-height smooth bump supported on (center - 1, center + 1).
+
+    The support must lie inside the domain: a bump cut at an end would jump
+    across the periodic seam.
+    """
+    if center - 1 < grid.x_min or center + 1 > grid.x_max:
+        raise ValueError(
+            f"perturbation support [{center - 1}, {center + 1}] falls outside "
+            f"the domain [{grid.x_min}, {grid.x_max})"
+        )
     return RealField(grid, np.e * bump(grid.nodes - center))
 
 
@@ -294,8 +307,8 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
         raise ValueError("perturbation must be nonnegative to keep the potential valid")
 
     root_dx = np.sqrt(grid.dx)
-    distances = []
-    for epsilon in cfg.epsilons:
+
+    def gap(epsilon: float) -> float:
         base = regularize_potential(cfg.potential, grid, epsilon)
         shifted = RegularizedPotential(
             cfg.potential, epsilon,
@@ -304,11 +317,13 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
         datum = prepared_datum(cfg, grid, epsilon)
         t_base = _simulate_tagged(datum, base, cfg.solver, epsilon)
         t_shift = _simulate_tagged(datum, shifted, cfg.solver, epsilon)
-        gap = max(
+        return max(
             float(root_dx * np.linalg.norm(a.values - b.values))
             for a, b in zip(t_base.states, t_shift.states)
         )
-        distances.append(gap)
+
+    # one width's runs at a time: both die when gap() returns
+    distances = [gap(e) for e in cfg.epsilons]
 
     if len(distances) >= 3 and all(d > 0 for d in distances):
         slope, residual = moderateness_exponent(cfg.epsilons, distances)
@@ -382,10 +397,11 @@ def delta_squared_energy_scaling(cfg: ExperimentConfig,
     asserted here; the report just states what the discrete runs produced.
     Any potential kind is accepted (a width-independent one gives ratio 1).
     """
-    peaks = []
-    for epsilon in cfg.epsilons:
+    def peak(epsilon: float) -> float:
         trajectory, _, _ = single_run(cfg, epsilon)
-        peaks.append(float(np.max(trajectory.energy)))
+        return float(np.max(trajectory.energy))
+
+    peaks = [peak(e) for e in cfg.epsilons]
     ratio = peaks[-1] / peaks[0]  # smallest width over largest width
     monotone = all(b >= a for a, b in zip(peaks, peaks[1:]))
     in_band = band[0] <= ratio <= band[1]
@@ -488,12 +504,12 @@ def _density_snapshots(cfg: ExperimentConfig, spec: PotentialSpec, epsilon: floa
     potential = regularize_potential(spec, grid, epsilon)
     datum = prepared_datum(cfg, grid, epsilon)
     dense = replace(cfg.solver, record_every=1)
-    trajectory = simulate(datum, potential, replace(dense, t_end=max(times)))
+    trajectory = _simulate_tagged(datum, potential, replace(dense, t_end=max(times)), epsilon)
     files = []
     for t in times:
         idx = _snapshot(trajectory, t)
         if idx is None:
-            state = simulate(datum, potential, replace(dense, t_end=t)).states[-1]
+            state = _simulate_tagged(datum, potential, replace(dense, t_end=t), epsilon).states[-1]
         else:
             state = trajectory.states[idx]
         name = name_fn(t)
@@ -506,14 +522,16 @@ def _energy_tables(cfg: ExperimentConfig, spec: PotentialSpec, epsilons, out: st
     """Record every step to t_end and dump one energy table per width."""
     grid = cfg.grid
     solver = replace(cfg.solver, record_every=1)
-    files = []
-    for epsilon in epsilons:
+
+    def table(epsilon: float) -> str:
         potential = regularize_potential(spec, grid, epsilon)
-        trajectory = simulate(prepared_datum(cfg, grid, epsilon), potential, solver)
+        datum = prepared_datum(cfg, grid, epsilon)
+        trajectory = _simulate_tagged(datum, potential, solver, epsilon)
         name = f"energy_eps{epsilon:g}.csv"
         write_csv(os.path.join(out, name), ENERGY_HEADER, energy_rows(trajectory))
-        files.append(name)
-    return files
+        return name
+
+    return [table(e) for e in epsilons]
 
 
 def emit_figure_data(cfg: ExperimentConfig, figure: str, out_dir: str | None = None) -> dict:

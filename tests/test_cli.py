@@ -176,6 +176,12 @@ class TestOtherCommands:
         rc = main(["uniqueness", "--out", str(tmp_path), "--m", "0.5"] + FAST)
         assert rc == 2
 
+    def test_uniqueness_rejects_perturbation_cut_by_domain(self, tmp_path):
+        # the perturbation bump on (2, 4) is cut at x = 2.5
+        rc = main(["uniqueness", "--out", str(tmp_path), "--domain", "2.5,12.5",
+                   "--eps", "0.4,0.2,0.1"] + FAST)
+        assert rc == 2
+
     def test_consistency_defaults_to_regular_potential(self, tmp_path):
         rc = main(["consistency", "--out", str(tmp_path),
                    "--eps", "0.4,0.2", "--reference", "matched"] + FAST)

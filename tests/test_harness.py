@@ -1,10 +1,12 @@
 import json
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fracschrod.harness
 import fracschrod.solver
 from fracschrod.grid import ComplexField, RealField, l2_norm, make_grid
 from fracschrod.harness import (
@@ -28,7 +30,7 @@ from fracschrod.mollifier import (
 )
 from fracschrod.observables import composite_norm
 from fracschrod.operators import FractionalOrder
-from fracschrod.solver import SolverConfig, simulate
+from fracschrod.solver import NumericalAbort, SolverConfig, simulate
 
 DT = 0.0107
 
@@ -218,6 +220,15 @@ class TestUniqueness:
         assert np.min(bump.values) >= 0.0
         assert np.all(bump.values[np.abs(g.nodes - 3.0) >= 1.0] == 0.0)
 
+    @pytest.mark.parametrize("x_min, x_max", [(2.5, 12.5), (-5.0, 3.5)])
+    def test_default_perturbation_rejects_support_cut_by_domain(self, x_min, x_max):
+        with pytest.raises(ValueError, match="perturbation support"):
+            default_perturbation(make_grid(x_min, x_max, 256), 3.0)
+
+    def test_default_perturbation_may_touch_the_ends(self):
+        bump = default_perturbation(make_grid(2.0, 4.0, 256), 3.0)
+        assert bump.values[0] == 0.0
+
 
 class TestConsistency:
     def test_rejects_singular_kinds(self):
@@ -298,6 +309,43 @@ class TestObservablesOnDemand:
         assert len(calls) == 1
 
 
+class TestOneWidthAtATime:
+    """No driver keeps an earlier width's trajectories while the next runs."""
+
+    @pytest.fixture
+    def alive(self, monkeypatch):
+        """Per simulate call, how many earlier trajectories are still alive."""
+        counts, refs = [], []
+        original = fracschrod.harness.simulate
+
+        def tracking(*args, **kwargs):
+            counts.append(sum(ref() is not None for ref in refs))
+            trajectory = original(*args, **kwargs)
+            refs.append(weakref.ref(trajectory))
+            return trajectory
+
+        monkeypatch.setattr(fracschrod.harness, "simulate", tracking)
+        return counts
+
+    def test_uniqueness_keeps_one_pair(self, alive):
+        uniqueness_experiment(fractional_config())
+        assert alive == [0, 1] * 3
+
+    def test_sweep_keeps_one_run(self, alive):
+        epsilon_sweep(fractional_config())
+        assert alive == [0] * 3
+
+    def test_energy_scaling_keeps_one_run(self, alive):
+        delta_squared_energy_scaling(fractional_config())
+        assert alive == [0] * 3
+
+    @pytest.mark.parametrize("figure, runs", [("fig4", 3), ("fig5", 5)])
+    def test_energy_tables_keep_one_run(self, alive, tmp_path, figure, runs):
+        cfg = quick_config(n=256)
+        emit_figure_data(cfg, figure, str(tmp_path))
+        assert alive == [0] * runs
+
+
 class TestFigureEmission:
     def test_fig1_six_density_tables(self, tmp_path):
         cfg = quick_config(n=256, solver=SolverConfig(dt=DT, t_end=0.2996))
@@ -347,6 +395,15 @@ class TestFigureEmission:
                 continue  # carries a timestamp
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig4"])
+    def test_abort_names_the_width(self, tmp_path, monkeypatch, figure):
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
+                            lambda self, values: values * np.nan)
+        solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
+        with pytest.raises(NumericalAbort) as err:
+            emit_figure_data(quick_config(n=256, solver=solver), figure, str(tmp_path))
+        assert err.value.epsilon == 0.05
 
     def test_rejects_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
