@@ -357,23 +357,28 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     if reference not in ("fine", "matched"):
         raise ValueError(f"reference must be 'fine' or 'matched', got {reference!r}")
     grid = cfg.grid
+    # only final states are compared, and a kept final state keeps its run's
+    # whole record array alive: record nothing in between
+    solver = replace(cfg.solver, record_every=10**9)
 
     if reference == "fine":
         fine_grid = make_grid(cfg.x_min, cfg.x_max, 4 * cfg.n)
-        fine_solver = replace(cfg.solver, dt=cfg.solver.dt / 8.0, record_every=10**9)
+        fine_solver = replace(solver, dt=cfg.solver.dt / 8.0)
         fine_potential = regularize_potential(cfg.potential, fine_grid, cfg.epsilons[0])
         fine_final = simulate(initial_datum(fine_grid), fine_potential, fine_solver).states[-1]
         ref_values = fine_final.values[::4]
     else:
         exact = regularize_potential(cfg.potential, grid, cfg.epsilons[0])
-        ref_values = simulate(initial_datum(grid), exact, cfg.solver).states[-1].values
+        ref_values = simulate(initial_datum(grid), exact, solver).states[-1].values
 
-    errors = []
-    for epsilon in cfg.epsilons:
+    def error(epsilon: float) -> float:
         smoothed = regularize_potential(cfg.potential, grid, epsilon, mollify_regular=True)
         datum = prepared_datum(cfg, grid, epsilon)
-        final = _simulate_tagged(datum, smoothed, cfg.solver, epsilon).states[-1]
-        errors.append(l2_norm(ComplexField(grid, final.values - ref_values)))
+        final = _simulate_tagged(datum, smoothed, solver, epsilon).states[-1]
+        return l2_norm(ComplexField(grid, final.values - ref_values))
+
+    # one width's run at a time: its final state dies when error() returns
+    errors = [error(e) for e in cfg.epsilons]
 
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     return ConsistencyReport(cfg, reference, tuple(errors), decreasing)
@@ -497,8 +502,9 @@ def _density_snapshots(cfg: ExperimentConfig, spec: PotentialSpec, epsilon: floa
                        times, out: str, name_fn) -> list[str]:
     """Record a run densely and dump one density table per requested time.
 
-    Times that do not land on a recorded step (custom dt) get their own
-    dedicated run ending exactly there.
+    A time that does not land on a recorded step (custom dt) is reached from
+    the last full step before it by one shortened step, as a run ending
+    exactly there would take it.
     """
     grid = cfg.grid
     potential = regularize_potential(spec, grid, epsilon)
@@ -509,7 +515,10 @@ def _density_snapshots(cfg: ExperimentConfig, spec: PotentialSpec, epsilon: floa
     for t in times:
         idx = _snapshot(trajectory, t)
         if idx is None:
-            state = _simulate_tagged(datum, potential, replace(dense, t_end=t), epsilon).states[-1]
+            steps = int(np.floor(t / dense.dt + 1e-9))  # simulate's count of full steps
+            remainder = t - steps * dense.dt
+            last = replace(dense, dt=remainder, t_end=remainder)
+            state = _simulate_tagged(trajectory.states[steps], potential, last, epsilon).states[-1]
         else:
             state = trajectory.states[idx]
         name = name_fn(t)

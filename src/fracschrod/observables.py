@@ -29,15 +29,17 @@ BLOCK_VALUES = 2**14
 def state_observables(grid: Grid, states, p_values: np.ndarray, s: float):
     """Arrays (mass, hs_part, potential_part, energy), one entry per state.
 
-    states is a list or tuple of complex sample arrays on grid, p_values the
-    potential samples.  mass is the L2 norm, hs_part the order-s seminorm,
-    potential_part the L2 norm of sqrt(p) u, and energy the sum of the
-    squares of the last two, which the exact flow conserves.
+    states is a 2-D complex array with one state per row, or a list or tuple
+    of complex sample arrays, on grid; p_values the potential samples.  mass
+    is the L2 norm, hs_part the order-s seminorm, potential_part the L2 norm
+    of sqrt(p) u, and energy the sum of the squares of the last two, which
+    the exact flow conserves.
 
-    States are stacked in blocks of at most BLOCK_VALUES samples with one
-    FFT per block.  Norms are still taken row by row and the energy is
-    summed in Python floats, so every value is bit-identical to l2_norm,
-    hs_seminorm and the same formulas applied to one state at a time.
+    States are taken in blocks of at most BLOCK_VALUES samples with one FFT
+    per block; the blocks of a 2-D array are row slices, not copies.  Norms
+    are still taken row by row and the energy is summed in Python floats, so
+    every value is bit-identical to l2_norm, hs_seminorm and the same
+    formulas applied to one state at a time.
     """
     weights = grid.wavenumber_power(s)
     root_dx = np.sqrt(grid.dx)
@@ -45,7 +47,7 @@ def state_observables(grid: Grid, states, p_values: np.ndarray, s: float):
     mass, hs_part, potential_part = np.empty(count), np.empty(count), np.empty(count)
     rows = max(1, BLOCK_VALUES // grid.n)
     for start in range(0, count, rows):
-        block = np.stack(states[start:start + rows])
+        block = np.asarray(states[start:start + rows])
         weighted = weights * np.fft.fft(block, axis=-1, norm="ortho")
         potential_part[start:start + len(block)] = np.sqrt(
             grid.dx * np.sum(p_values * np.abs(block) ** 2, axis=-1))

@@ -11,6 +11,12 @@ Two backends:
 
 Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step.
+
+A run's recorded states are the rows of one read-only (n_records, n) array,
+allocated before the first step; every step writes straight into the next
+free row, so the stepping loop allocates no state.  Keeping one recorded
+state keeps that whole array alive: copy a row to hold it longer than its
+run.
 """
 
 from __future__ import annotations
@@ -94,6 +100,11 @@ class SolverConfig:
 class Trajectory:
     """Recorded states of one run, with their observables computed on first read.
 
+    values is one read-only (n_records, n) complex array, a row per recorded
+    time; states wraps those rows as fields on first read, without copying
+    them.  Any row or state kept alive keeps the whole array alive, so copy
+    a row to hold it longer than the trajectory.
+
     mass, hs_part, potential_part and energy hold one read-only entry per
     recorded state.  The first read of any of them computes all four in one
     blocked pass (`state_observables`) and caches them on the trajectory, so
@@ -101,14 +112,16 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: tuple[ComplexField, ...]
+    values: np.ndarray
     potential: RealField
     order: FractionalOrder
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
+        if self.values.ndim != 2 or self.values.dtype != complex:
+            raise ValueError("trajectory values must be a 2-D complex array")
+        if len(self.times) != len(self.values):
             raise ValueError("trajectory times and states must have equal lengths")
-        if any(u.grid != self.potential.grid for u in self.states):
+        if self.values.shape[1] != self.potential.grid.n:
             raise ValueError("states and potential live on different grids")
         if len(self.times) == 0:
             raise ValueError("trajectory must hold at least the initial record")
@@ -116,10 +129,16 @@ class Trajectory:
             raise ValueError("trajectories start at t = 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("recorded times must be strictly increasing")
+        _readonly(self.values)
+
+    @cached_property
+    def states(self) -> tuple[ComplexField, ...]:
+        grid = self.potential.grid
+        return tuple(ComplexField.from_checked(grid, row) for row in self.values)
 
     @cached_property
     def _observables(self) -> tuple[np.ndarray, ...]:
-        arrays = state_observables(self.potential.grid, [u.values for u in self.states],
+        arrays = state_observables(self.potential.grid, self.values,
                                    self.potential.values, self.order.s)
         return tuple(_readonly(a) for a in arrays)
 
@@ -227,11 +246,12 @@ class _CrankNicolson:
         diag = self._idt - (a + 0.5 * self._p_in)
         self._factor = _ThomasFactor(lower, diag, upper)
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the next state into out and return it; out may be values."""
         inner = values[1:-1]
         h_inner = (2.0 * inner - values[:-2] - values[2:]) * self._a + self._p_in * inner
         rhs = self._idt * inner + 0.5 * h_inner
-        out = np.zeros_like(values)
+        out[0] = out[-1] = 0.0
         out[1:-1] = self._factor.solve(rhs)
         return out
 
@@ -239,12 +259,14 @@ class _CrankNicolson:
 class _SplitStep:
     """Half potential phase, full free flow, half potential phase.
 
-    The intermediate products go into one work array owned by the stepper,
-    so a step allocates only the state it returns (``out=`` on the FFTs
-    needs numpy 2.0).  That state must be a fresh array: recorded states are
-    frozen in place.  The kinetic factor is the left operand on purpose:
-    numpy's complex multiply uses fused multiply-adds and is not bitwise
-    commutative, and this order keeps the step equal to
+    The intermediate products go into one work array owned by the stepper
+    and the new state into the caller's out array, so a step allocates
+    nothing (``out=`` on the FFTs needs numpy 2.0).  values is read in full
+    before out is written, so out may be values.  simulate passes the rows
+    of a run's one record array, so a state is never copied to be recorded.
+    The kinetic factor is the left operand on purpose: numpy's complex
+    multiply uses fused multiply-adds and is not bitwise commutative, and
+    this order keeps the step equal to
     half_phase * ifft(kinetic * fft(half_phase * values)).
     """
 
@@ -254,20 +276,20 @@ class _SplitStep:
         self._kinetic = np.exp(-1j * dt * symbol)
         self._work = np.empty(grid.n, dtype=complex)
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         work = self._work
         np.multiply(self._half_phase, values, out=work)
         np.fft.fft(work, out=work)
         np.multiply(self._kinetic, work, out=work)
         np.fft.ifft(work, out=work)
-        return self._half_phase * work
+        return np.multiply(self._half_phase, work, out=out)
 
 
 def cn_step(u: ComplexField, p: RegularizedPotential, dt: float) -> ComplexField:
     """One Crank-Nicolson step of length dt."""
     _check_step_args(u, p, dt)
     stepper = _CrankNicolson(u.grid, p.field.values, dt)
-    return ComplexField(u.grid, stepper.step(u.values))
+    return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
 
 
 def strang_step(u: ComplexField, p: RegularizedPotential, dt: float,
@@ -275,7 +297,7 @@ def strang_step(u: ComplexField, p: RegularizedPotential, dt: float,
     """One Strang splitting step of length dt."""
     _check_step_args(u, p, dt)
     stepper = _SplitStep(u.grid, p.field.values, dt, order)
-    return ComplexField(u.grid, stepper.step(u.values))
+    return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
 
 
 def simulate(u0: ComplexField, potential: RegularizedPotential,
@@ -283,10 +305,13 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     """March u0 to config.t_end and record its states.
 
     The initial state is always recorded, then every record_every-th step,
-    then the final state with its time labeled exactly t_end.  Any non-finite
-    state aborts the run with step diagnostics.  The observables of the
-    recorded states are computed on their first read from the trajectory,
-    not here.
+    then the final state with its time labeled exactly t_end.  The recorded
+    times are known before the first step, so the states go into one array
+    with a row per record: each step writes into the next free row, which
+    advances only after a recorded step, and a step that is not recorded is
+    overwritten by the next.  Any non-finite state aborts the run with step
+    diagnostics.  The observables of the recorded states are computed on
+    their first read from the trajectory, not here.
     """
     if u0.grid != potential.field.grid:
         raise ValueError("datum and potential live on different grids")
@@ -303,28 +328,28 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     else:
         make_stepper = lambda h: _SplitStep(grid, p_values, h, config.order)
 
-    values = u0.values
-    records: list[tuple[float, np.ndarray]] = [(0.0, values)]
+    # full steps recorded before the final state; a last full step that ends
+    # the run is recorded as the final state instead
+    last_marked = n_full if remainder > 0.0 else n_full - 1
+    marked = range(config.record_every, last_marked + 1, config.record_every)
+    times = np.array([0.0, *(i * dt for i in marked), config.t_end])
+    rows = np.empty((len(times), grid.n), dtype=complex)
+    rows[0] = u0.values
+    values = rows[0]
     worst = float(np.max(np.abs(values)))
 
+    k = 1  # next free row
     stepper = make_stepper(dt)
     for i in range(1, n_full + 1):
-        values = stepper.step(values)
+        values = stepper.step(values, rows[k])
         worst = max(worst, _checked_peak(values, i, i * dt, worst))
-        final_full = i == n_full and remainder == 0.0
-        if i % config.record_every == 0 and not final_full:
-            records.append((i * dt, values))
+        if i in marked:
+            k += 1
     if remainder > 0.0:
-        values = make_stepper(remainder).step(values)
+        values = make_stepper(remainder).step(values, rows[k])
         _checked_peak(values, n_full + 1, config.t_end, worst)
-    records.append((config.t_end, values))
 
-    return Trajectory(
-        times=np.array([t for t, _ in records]),
-        states=tuple(ComplexField.from_checked(grid, v) for _, v in records),
-        potential=potential.field,
-        order=config.order,
-    )
+    return Trajectory(times=times, values=rows, potential=potential.field, order=config.order)
 
 
 def _checked_peak(values: np.ndarray, step: int, time: float, worst: float) -> float:

@@ -11,11 +11,14 @@ import fracschrod.solver
 from fracschrod.grid import ComplexField, RealField, l2_norm, make_grid
 from fracschrod.harness import (
     DEFAULT_EPSILONS,
+    DENSITY_HEADER,
+    FIG1_TIMES,
     ExperimentConfig,
     config_hash,
     consistency_experiment,
     default_perturbation,
     delta_squared_energy_scaling,
+    density_rows,
     emit_figure_data,
     epsilon_sweep,
     prepared_datum,
@@ -30,7 +33,7 @@ from fracschrod.mollifier import (
 )
 from fracschrod.observables import composite_norm
 from fracschrod.operators import FractionalOrder
-from fracschrod.solver import NumericalAbort, SolverConfig, simulate
+from fracschrod.solver import NumericalAbort, SolverConfig, initial_datum, simulate
 
 DT = 0.0107
 
@@ -314,14 +317,18 @@ class TestOneWidthAtATime:
 
     @pytest.fixture
     def alive(self, monkeypatch):
-        """Per simulate call, how many earlier trajectories are still alive."""
+        """Per simulate call, how many earlier runs are still alive.
+
+        A run is alive while its trajectory or its record array is: a kept
+        row or state keeps the whole array.
+        """
         counts, refs = [], []
         original = fracschrod.harness.simulate
 
         def tracking(*args, **kwargs):
-            counts.append(sum(ref() is not None for ref in refs))
+            counts.append(sum(any(ref() is not None for ref in pair) for pair in refs))
             trajectory = original(*args, **kwargs)
-            refs.append(weakref.ref(trajectory))
+            refs.append((weakref.ref(trajectory), weakref.ref(trajectory.values)))
             return trajectory
 
         monkeypatch.setattr(fracschrod.harness, "simulate", tracking)
@@ -338,6 +345,13 @@ class TestOneWidthAtATime:
     def test_energy_scaling_keeps_one_run(self, alive):
         delta_squared_energy_scaling(fractional_config())
         assert alive == [0] * 3
+
+    @pytest.mark.parametrize("reference", ["fine", "matched"])
+    def test_consistency_keeps_only_the_reference(self, alive, reference):
+        # the reference run's final state is compared with every width's
+        cfg = replace(fractional_config(), potential=PotentialSpec("harmonic_shifted"))
+        consistency_experiment(cfg, reference=reference)
+        assert alive == [0, 1, 1, 1]
 
     @pytest.mark.parametrize("figure, runs", [("fig4", 3), ("fig5", 5)])
     def test_energy_tables_keep_one_run(self, alive, tmp_path, figure, runs):
@@ -396,10 +410,38 @@ class TestFigureEmission:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("solver", [
+        SolverConfig(dt=0.01, t_end=0.2996),
+        SolverConfig(backend="spectral_strang", dt=0.01, t_end=0.2996,
+                     order=FractionalOrder(0.75)),
+    ], ids=["crank_nicolson", "spectral_strang"])
+    def test_off_grid_times_advance_the_dense_run(self, tmp_path, monkeypatch, solver):
+        steps = []
+        original = fracschrod.harness.simulate
+
+        def counting(datum, potential, config):
+            trajectory = original(datum, potential, config)
+            steps.append(len(trajectory.times) - 1)  # every step is recorded
+            return trajectory
+
+        monkeypatch.setattr(fracschrod.harness, "simulate", counting)
+        cfg = quick_config(n=256, solver=solver)
+        emit_figure_data(cfg, "fig1", str(tmp_path))
+        # 30 steps to 0.2996, then one shortened step to each of 0.0428,
+        # 0.107, 0.1391 and 0.214; a run from t = 0 per missed time takes 82
+        assert sum(steps) == 34
+        grid = cfg.grid
+        p = regularize_potential(PotentialSpec("delta"), grid, 0.05)
+        for t in FIG1_TIMES[1:]:
+            rerun = original(initial_datum(grid), p, replace(solver, t_end=t)).states[-1]
+            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_rows(rerun))
+            assert (tmp_path / f"density_t{t:.4f}_eps0.05.csv").read_bytes() == \
+                (tmp_path / "rerun.csv").read_bytes()
+
     @pytest.mark.parametrize("figure", ["fig1", "fig4"])
     def test_abort_names_the_width(self, tmp_path, monkeypatch, figure):
         monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
-                            lambda self, values: values * np.nan)
+                            lambda self, values, out: np.multiply(values, np.nan, out=out))
         solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
         with pytest.raises(NumericalAbort) as err:
             emit_figure_data(quick_config(n=256, solver=solver), figure, str(tmp_path))

@@ -105,6 +105,15 @@ class TestStateObservables:
         assert np.array_equal(total, [h**2 + v**2 for h, v in zip(ref_hs, ref_pot)])
         assert np.array_equal(total, [energy(f, p, FractionalOrder(s))[2] for f in fields])
 
+    @pytest.mark.parametrize("count", [1, ROWS, 2 * ROWS + 5])
+    def test_two_dimensional_array_equals_list_of_rows(self, count):
+        rows = np.array([random_field(GRID, 200 + i).values for i in range(count)])
+        p = regularize_potential(PotentialSpec("harmonic_shifted"), GRID, 0.3).field
+        from_array = state_observables(GRID, rows, p.values, 0.75)
+        from_list = state_observables(GRID, list(rows), p.values, 0.75)
+        for a, b in zip(from_array, from_list):
+            assert np.array_equal(a, b)
+
     def test_energy_squares_python_floats(self):
         # numpy's square and Python's float ** 2 differ in the last bit for
         # about one value in a thousand; 3000 states make a difference certain

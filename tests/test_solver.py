@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,22 @@ class TestStrangStep:
         assert gap(finals[0], finals[1]) < 5e-3
 
 
+@pytest.mark.parametrize("backend,s", [("crank_nicolson", 1.0),
+                                       ("spectral_strang", 0.75),
+                                       ("spectral_strang", 1.0)])
+def test_step_in_place_equals_fresh_out(backend, s):
+    p = potential("delta_squared", eps=0.05).field.values
+    if backend == "crank_nicolson":
+        stepper = fracschrod.solver._CrankNicolson(GRID, p, DT)
+    else:
+        stepper = fracschrod.solver._SplitStep(GRID, p, DT, FractionalOrder(s))
+    v = np.array(initial_datum(GRID).values)
+    for _ in range(10):
+        fresh = stepper.step(v, np.empty_like(v))
+        assert stepper.step(v, v) is v
+        assert np.array_equal(v, fresh)
+
+
 class TestSplitStepKernel:
     """The in-place Strang step against its arithmetic and its allocations."""
 
@@ -253,22 +270,24 @@ class TestSplitStepKernel:
             c = kin * b
             d = np.fft.ifft(c)
             expected = hp * d
-            v = stepper.step(v)
+            v = stepper.step(v, np.empty_like(v))
             assert np.array_equal(v, expected)
 
-    def test_step_allocates_only_the_new_state(self):
+    def test_step_allocates_nothing(self):
         n = 16384
         grid, stepper = self.stepper(n)
-        v = stepper.step(initial_datum(grid).values)  # warm-up: FFT plans
+        v = np.array(initial_datum(grid).values)
+        stepper.step(v, v)  # warm-up: FFT plans
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            out = stepper.step(v)
+            out = stepper.step(v, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (n,)
-        assert peak - baseline <= 1.1 * n * 16
+        assert out is v
+        # the FFT calls' Python-level bookkeeping: about a kilobyte, no array
+        assert peak - baseline < n
 
     def test_recorded_states_share_no_memory(self):
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.05,
@@ -282,6 +301,35 @@ class TestSplitStepKernel:
 
 
 class TestSimulate:
+    def test_peak_memory_is_bounded_by_the_records(self):
+        n = 16384
+        grid = make_grid(0.0, 10.0, n)
+        p = potential("delta_squared", eps=0.05, grid=grid)
+        u = initial_datum(grid)
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=300 * DT, record_every=100)
+        simulate(u, p, replace(cfg, t_end=DT))  # warm-up: FFT plans, wavenumber powers
+        tracemalloc.start()
+        try:
+            tr = simulate(u, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_records = len(tr.times)
+        assert n_records == 4  # the datum, steps 100 and 200, the final state
+        assert peak <= (n_records + 4) * n * 16
+
+    def test_values_are_one_read_only_array_with_states_as_rows(self):
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=7.5 * DT, record_every=3,
+                           order=FractionalOrder(0.75))
+        tr = simulate(initial_datum(GRID), potential("delta"), cfg)
+        assert tr.values.shape == (4, GRID.n) and tr.values.dtype == complex
+        assert not tr.values.flags.writeable
+        with pytest.raises(ValueError):
+            tr.values[1, 0] = 1.0
+        assert len(tr.states) == len(tr.values)
+        for row, u in zip(tr.values, tr.states):
+            assert np.shares_memory(u.values, row) and np.array_equal(u.values, row)
+
     def test_spectral_free_run_matches_exact_flow(self):
         u = initial_datum(GRID)
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214,
@@ -387,8 +435,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", ["inf_real", "nan_imag"])
     def test_one_bad_component_aborts(self, monkeypatch, bad):
-        def bad_step(self, values):
-            out = values.copy()
+        def bad_step(self, values, out):
+            out[...] = values
             out[700] = complex(np.inf, 0.0) if bad == "inf_real" else complex(1e-3, np.nan)
             return out
 
@@ -403,10 +451,12 @@ class TestSimulate:
         original = fracschrod.solver._SplitStep.step
         calls = []
 
-        def step(self, values):
+        def step(self, values, out):
             calls.append(1)
-            out = original(self, values)
-            return out * np.nan if len(calls) == 5 else out
+            original(self, values, out)
+            if len(calls) == 5:
+                out *= np.nan
+            return out
 
         monkeypatch.setattr(fracschrod.solver._SplitStep, "step", step)
         t_end = 0.05  # four full steps, then a shortened one
@@ -418,8 +468,11 @@ class TestSimulate:
 
     def test_overflowing_modulus_of_finite_components_does_not_abort(self, monkeypatch):
         huge = 1.7e308 * (1 + 1j)  # finite parts, |huge| overflows to inf
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
-                            lambda self, values: np.full_like(values, huge))
+        def flat_step(self, values, out):
+            out.fill(huge)
+            return out
+
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", flat_step)
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
         with np.errstate(over="ignore", invalid="ignore"):
             tr = simulate(initial_datum(GRID), potential("zero"), cfg)
@@ -427,8 +480,8 @@ class TestSimulate:
         assert np.all(tr.states[-1].values == huge)
 
     def test_nan_state_aborts_with_diagnostics(self, monkeypatch):
-        def bad_step(self, values):
-            return values * np.nan
+        def bad_step(self, values, out):
+            return np.multiply(values, np.nan, out=out)
 
         monkeypatch.setattr(fracschrod.solver._SplitStep, "step", bad_step)
         u = initial_datum(GRID)
@@ -456,7 +509,7 @@ class TestSimulate:
 class TestTrajectoryValidation:
     @staticmethod
     def build(times, states):
-        return Trajectory(times=np.array(times), states=states,
+        return Trajectory(times=np.array(times), values=np.array([u.values for u in states]),
                           potential=potential("delta").field, order=FractionalOrder(1.0))
 
     def test_rejects_nonzero_start(self):
