@@ -2,10 +2,18 @@
 
 Subcommands: simulate, sweep, uniqueness, consistency, figures,
 energy-scaling.  Settings resolve in three layers: built-in defaults, then a
-flat key=value config file (--config), then explicit flags.  Exit codes:
+flat key=value config file (--config), then explicit flags.  One table,
+SETTINGS, gives each setting its parser, default, help and the commands
+that take it as a flag; flag values and config-file lines go through the
+same parser, so an invalid value is reported the same way from either.
+
+Each command writes its tables and returns its file names, the headline
+numbers for the manifest and a one-line summary; main writes manifest.json
+and prints the summary.  Exit codes:
 
 * 0: success
-* 2: invalid settings (bad flag values, inconsistent backend/order, ...)
+* 2: invalid settings (bad flag or config-file values, inconsistent
+  backend/order, ...)
 * 3: the run produced a non-finite state
 * 4: file system trouble (unreadable config, unwritable output, ...)
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .harness import (
     DEFAULT_EPSILONS,
@@ -28,12 +37,8 @@ from .harness import (
     manifest_payload,
     single_run,
     uniqueness_experiment,
-    write_consistency_csv,
     write_csv,
-    write_energy_scaling_csv,
     write_manifest,
-    write_sweep_csv,
-    write_uniqueness_csv,
 )
 from .harness import DENSITY_HEADER, ENERGY_HEADER, FIGURES
 from .mollifier import PotentialSpec
@@ -50,25 +55,72 @@ POTENTIAL_MAP = {
 }
 COMMANDS = ("simulate", "sweep", "uniqueness", "consistency", "figures", "energy-scaling")
 
-# keys a config file may set, with the same spelling as the long flags
-CONFIG_KEYS = (
-    "out", "backend", "eps", "potential", "s", "dt", "nx", "domain",
-    "mollify-data", "t-end", "m", "figure", "reference",
-)
 
-_DEFAULTS = {
-    "out": "fracschrod_out",
-    "backend": "cn",
-    "potential": "delta",
-    "s": 1.0,
-    "dt": 0.0107,
-    "nx": 1024,
-    "domain": (0.0, 10.0),
-    "mollify-data": False,
-    "m": 2.0,
-    "figure": None,
-    "reference": "fine",
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"could not parse {what} from {text!r}") from None
+    if not values:
+        raise ValueError(f"empty {what} in {text!r}")
+    return values
+
+
+def _widths(text: str) -> tuple[float, ...]:
+    return _parse_floats(text, "widths")
+
+
+def _domain(text: str) -> tuple[float, ...]:
+    endpoints = _parse_floats(text, "domain endpoints")
+    if len(endpoints) != 2:
+        raise ValueError(f"expected exactly two endpoints, got {text!r}")
+    return endpoints
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"could not parse boolean from {text!r}")
+
+
+class _Choice(tuple):
+    """Parser that accepts one word of a fixed set."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"expected one of {list(self)}, got {text!r}")
+        return text
+
+
+class Setting(NamedTuple):
+    parse: Callable[[str], object]
+    default: object = None
+    commands: tuple[str, ...] = COMMANDS  # the subcommands that take it as a flag
+    help: str | None = None
+
+
+# every setting, in flag order; a config file may set any of them, spelled
+# as the long flag
+SETTINGS = {
+    "out": Setting(str, "fracschrod_out", help="output directory"),
+    "backend": Setting(_Choice(sorted(BACKEND_MAP)), "cn"),
+    "eps": Setting(_widths, help="comma separated list of widths"),
+    "potential": Setting(_Choice(sorted(POTENTIAL_MAP)), "delta"),
+    "s": Setting(float, 1.0, help="order of the fractional Laplacian"),
+    "dt": Setting(float, 0.0107, help="time step"),
+    "nx": Setting(int, 1024, help="number of grid nodes (power of two)"),
+    "domain": Setting(_domain, (0.0, 10.0), help="domain endpoints a,b"),
+    "mollify-data": Setting(_boolean, False, help="smooth the initial datum at each width"),
+    "t-end": Setting(float, help="final time"),
+    "m": Setting(float, 2.0, ("uniqueness",), "perturbation exponent"),
+    "figure": Setting(_Choice(FIGURES + ("all",)), None, ("figures",), "which figure to emit"),
+    "reference": Setting(_Choice(("fine", "matched")), "fine", ("consistency",),
+                         "reference run: refined exact solve or same resolution"),
 }
+CONFIG_KEYS = tuple(SETTINGS)
 
 _PER_COMMAND = {
     "simulate": {"eps": (0.05,), "t-end": 0.2996},
@@ -82,6 +134,7 @@ _PER_COMMAND = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags come from SETTINGS and stay strings until resolve_settings parses them."""
     parser = argparse.ArgumentParser(
         prog="fracschrod",
         description="Numerical experiments for the regularized singular-potential flow.",
@@ -90,35 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="flat key=value settings file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--backend", choices=sorted(BACKEND_MAP))
-        p.add_argument("--eps", help="comma separated list of widths")
-        p.add_argument("--potential", choices=sorted(POTENTIAL_MAP))
-        p.add_argument("--s", type=float, help="order of the fractional Laplacian")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--nx", type=int, help="number of grid nodes (power of two)")
-        p.add_argument("--domain", help="domain endpoints a,b")
-        p.add_argument("--mollify-data", action="store_true", default=None,
-                       help="smooth the initial datum at each width")
-        p.add_argument("--t-end", type=float, help="final time")
-        if name == "uniqueness":
-            p.add_argument("--m", type=float, help="perturbation exponent")
-        if name == "figures":
-            p.add_argument("--figure", choices=FIGURES + ("all",), help="which figure to emit")
-        if name == "consistency":
-            p.add_argument("--reference", choices=("fine", "matched"),
-                           help="reference run: refined exact solve or same resolution")
+        for key, setting in SETTINGS.items():
+            if name not in setting.commands:
+                continue
+            options = {"help": setting.help}
+            if setting.parse is _boolean:
+                options.update(action="store_const", const="yes")
+            elif isinstance(setting.parse, _Choice):
+                options["metavar"] = "{" + ",".join(setting.parse) + "}"
+            p.add_argument(f"--{key}", **options)
     return parser
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"could not parse {what} from {text!r}") from None
-    if not values:
-        raise ValueError(f"empty {what} in {text!r}")
-    return values
 
 
 def read_config_file(path: str) -> dict:
@@ -133,56 +167,34 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ValueError(f"{path}:{line_no}: unknown setting {key!r}")
             mapping[key] = value.strip()
     return mapping
 
 
-def _coerce(key: str, value):
-    """Parse a config-file string into the type the flag would produce."""
-    if not isinstance(value, str):
-        return value
-    if key in ("s", "dt", "t-end", "m"):
-        return float(value)
-    if key == "nx":
-        return int(value)
-    if key == "eps":
-        return _parse_floats(value, "widths")
-    if key == "domain":
-        endpoints = _parse_floats(value, "domain endpoints")
-        if len(endpoints) != 2:
-            raise ValueError(f"domain needs exactly two endpoints, got {value!r}")
-        return endpoints
-    if key == "mollify-data":
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"could not parse boolean from {value!r}")
-    if key == "backend" and value not in BACKEND_MAP:
-        raise ValueError(f"unknown backend {value!r}; expected one of {sorted(BACKEND_MAP)}")
-    if key == "potential" and value not in POTENTIAL_MAP:
-        raise ValueError(f"unknown potential {value!r}; expected one of {sorted(POTENTIAL_MAP)}")
-    if key == "figure" and value not in FIGURES + ("all",):
-        raise ValueError(f"unknown figure {value!r}")
-    if key == "reference" and value not in ("fine", "matched"):
-        raise ValueError(f"reference must be 'fine' or 'matched', got {value!r}")
-    return value
+def _parse(key: str, text: str, source: str):
+    try:
+        return SETTINGS[key].parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Layer defaults, config file, then explicit flags."""
-    settings = dict(_DEFAULTS)
+    """Layer defaults, config file, then explicit flags.
+
+    Every config-file value is parsed as the file is read, so a bad one is
+    reported even when a flag overrides it.
+    """
+    settings = {key: setting.default for key, setting in SETTINGS.items()}
     settings.update(_PER_COMMAND[args.command])
     if args.config is not None:
-        for key, value in read_config_file(args.config).items():
-            settings[key] = _coerce(key, value)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            settings[key] = _coerce(key, value)
+        for key, text in read_config_file(args.config).items():
+            settings[key] = _parse(key, text, f"{args.config}: {key}")
+    for key in SETTINGS:
+        text = getattr(args, key.replace("-", "_"), None)
+        if text is not None:
+            settings[key] = _parse(key, text, f"--{key}")
     return settings
 
 
@@ -202,125 +214,90 @@ def build_experiment(settings: dict) -> ExperimentConfig:
         x_min=float(domain[0]),
         x_max=float(domain[1]),
         n=settings["nx"],
-        output_dir=settings["out"],
         mollify_data=bool(settings["mollify-data"]),
     )
 
 
-def _ensure_out(settings: dict) -> str:
-    out = settings["out"]
+def _table(out: str, name: str, header, rows) -> str:
+    """Write one CSV table into out, creating out if needed; returns the name."""
     os.makedirs(out, exist_ok=True)
-    return out
+    write_csv(os.path.join(out, name), header, rows)
+    return name
 
 
-def cmd_simulate(settings: dict) -> int:
-    cfg = build_experiment(settings)
+def _or_na(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
+
+
+def cmd_simulate(cfg: ExperimentConfig, settings: dict, out: str):
     if len(cfg.epsilons) != 1:
         raise ValueError("simulate runs a single width; pass exactly one --eps value")
     epsilon = cfg.epsilons[0]
     trajectory, _, _ = single_run(cfg, epsilon)
-    out = _ensure_out(settings)
-    dname = f"density_t{cfg.solver.t_end:.4f}_eps{epsilon:g}.csv"
-    ename = f"energy_eps{epsilon:g}.csv"
-    write_csv(os.path.join(out, dname), DENSITY_HEADER, density_rows(trajectory.states[-1]))
-    write_csv(os.path.join(out, ename), ENERGY_HEADER, energy_rows(trajectory))
-    payload = manifest_payload(
-        cfg, "simulate", [dname, ename],
-        epsilon=epsilon,
-        final_mass=float(trajectory.mass[-1]),
-        final_energy=float(trajectory.energy[-1]),
-    )
-    write_manifest(os.path.join(out, "manifest.json"), payload)
-    print(f"simulate: eps={epsilon:g} final mass {trajectory.mass[-1]:.6g} "
-          f"final energy {trajectory.energy[-1]:.6g}; wrote {out}/{dname}")
-    return 0
+    files = [
+        _table(out, f"density_t{cfg.solver.t_end:.4f}_eps{epsilon:g}.csv",
+               DENSITY_HEADER, density_rows(trajectory.states[-1])),
+        _table(out, f"energy_eps{epsilon:g}.csv", ENERGY_HEADER, energy_rows(trajectory)),
+    ]
+    mass, energy = float(trajectory.mass[-1]), float(trajectory.energy[-1])
+    return (files, {"epsilon": epsilon, "final_mass": mass, "final_energy": energy},
+            f"simulate: eps={epsilon:g} final mass {mass:.6g} "
+            f"final energy {energy:.6g}; wrote {out}/{files[0]}")
 
 
-def cmd_sweep(settings: dict) -> int:
-    cfg = build_experiment(settings)
+def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
     report = epsilon_sweep(cfg)
-    out = _ensure_out(settings)
-    write_sweep_csv(report, os.path.join(out, "sweep.csv"))
-    payload = manifest_payload(
-        cfg, "sweep", ["sweep.csv"],
-        potential_moderateness_n=report.potential_moderateness_n,
-        potential_residual=report.potential_residual,
-        potential_fit_flagged=report.potential_fit_flagged,
-        solution_moderateness_n=report.solution_moderateness_n,
-        solution_residual=report.solution_residual,
-        solution_fit_flagged=report.solution_fit_flagged,
-    )
-    write_manifest(os.path.join(out, "manifest.json"), payload)
-    p_slope = "n/a" if report.potential_moderateness_n is None \
-        else f"{report.potential_moderateness_n:.4f}"
-    u_slope = "n/a" if report.solution_moderateness_n is None \
-        else f"{report.solution_moderateness_n:.4f}"
-    print(f"sweep: potential growth exponent {p_slope}, solution growth exponent {u_slope}")
-    return 0
+    header = ("epsilon", "sup_norm_p", "final_mass", "final_energy",
+              "final_composite_norm", "window_mass", "n_maxima")
+    rows = ((r.epsilon, r.sup_norm_p, r.final_mass, r.final_energy,
+             r.final_composite_norm, r.window_mass_at_site, r.n_maxima)
+            for r in report.records)
+    extras = {key: getattr(report, key) for key in (
+        "potential_moderateness_n", "potential_residual", "potential_fit_flagged",
+        "solution_moderateness_n", "solution_residual", "solution_fit_flagged")}
+    return ([_table(out, "sweep.csv", header, rows)], extras,
+            f"sweep: potential growth exponent {_or_na(report.potential_moderateness_n)}, "
+            f"solution growth exponent {_or_na(report.solution_moderateness_n)}")
 
 
-def cmd_uniqueness(settings: dict) -> int:
-    cfg = build_experiment(settings)
+def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):
     report = uniqueness_experiment(cfg, m=settings["m"])
-    out = _ensure_out(settings)
-    write_uniqueness_csv(report, os.path.join(out, "uniqueness.csv"))
-    payload = manifest_payload(
-        cfg, "uniqueness", ["uniqueness.csv"],
-        m=report.m, decay_rate=report.decay_rate, residual=report.residual,
-    )
-    write_manifest(os.path.join(out, "manifest.json"), payload)
-    rate = "n/a" if report.decay_rate is None else f"{report.decay_rate:.4f}"
-    print(f"uniqueness: m={report.m:g} fitted decay rate {rate}")
-    return 0
+    rows = zip(cfg.epsilons, report.distances)
+    return ([_table(out, "uniqueness.csv", ("epsilon", "distance"), rows)],
+            {"m": report.m, "decay_rate": report.decay_rate, "residual": report.residual},
+            f"uniqueness: m={report.m:g} fitted decay rate {_or_na(report.decay_rate)}")
 
 
-def cmd_consistency(settings: dict) -> int:
-    cfg = build_experiment(settings)
+def cmd_consistency(cfg: ExperimentConfig, settings: dict, out: str):
     report = consistency_experiment(cfg, reference=settings["reference"])
-    out = _ensure_out(settings)
-    write_consistency_csv(report, os.path.join(out, "consistency.csv"))
-    payload = manifest_payload(
-        cfg, "consistency", ["consistency.csv"],
-        reference=report.reference,
-        strictly_decreasing=report.strictly_decreasing,
-    )
-    write_manifest(os.path.join(out, "manifest.json"), payload)
+    rows = zip(cfg.epsilons, report.errors)
     trend = "decreasing" if report.strictly_decreasing else "not monotone"
-    print(f"consistency: errors {trend}; smallest {min(report.errors):.3e}")
-    return 0
+    return ([_table(out, "consistency.csv", ("epsilon", "error"), rows)],
+            {"reference": report.reference, "strictly_decreasing": report.strictly_decreasing},
+            f"consistency: errors {trend}; smallest {min(report.errors):.3e}")
 
 
-def cmd_figures(settings: dict) -> int:
-    cfg = build_experiment(settings)
+def cmd_figures(cfg: ExperimentConfig, settings: dict, out: str):
+    """emit_figure_data writes each figure's manifest, so main writes none."""
     figure = settings["figure"]
     if figure is None:
         raise ValueError("figures needs --figure (fig1..fig5 or all)")
-    out = _ensure_out(settings)
     if figure == "all":
         for name in FIGURES:
             emit_figure_data(cfg, name, os.path.join(out, name))
-        print(f"figures: wrote {len(FIGURES)} figure directories under {out}")
-    else:
-        payload = emit_figure_data(cfg, figure, out)
-        print(f"figures: wrote {len(payload['files'])} tables for {figure} to {out}")
-    return 0
+        return None, None, f"figures: wrote {len(FIGURES)} figure directories under {out}"
+    payload = emit_figure_data(cfg, figure, out)
+    return None, None, f"figures: wrote {len(payload['files'])} tables for {figure} to {out}"
 
 
-def cmd_energy_scaling(settings: dict) -> int:
-    cfg = build_experiment(settings)
+def cmd_energy_scaling(cfg: ExperimentConfig, settings: dict, out: str):
     report = delta_squared_energy_scaling(cfg)
-    out = _ensure_out(settings)
-    write_energy_scaling_csv(report, os.path.join(out, "energy_scaling.csv"))
-    payload = manifest_payload(
-        cfg, "energy-scaling", ["energy_scaling.csv"],
-        ratio=report.ratio,
-        monotone_nondecreasing=report.monotone_nondecreasing,
-        in_band=report.in_band,
-    )
-    write_manifest(os.path.join(out, "manifest.json"), payload)
-    print(f"energy-scaling: peak ratio {report.ratio:.4f} "
-          f"(monotone={report.monotone_nondecreasing}, in band={report.in_band})")
-    return 0
+    rows = zip(cfg.epsilons, report.max_energies)
+    return ([_table(out, "energy_scaling.csv", ("epsilon", "max_energy"), rows)],
+            {"ratio": report.ratio, "monotone_nondecreasing": report.monotone_nondecreasing,
+             "in_band": report.in_band},
+            f"energy-scaling: peak ratio {report.ratio:.4f} "
+            f"(monotone={report.monotone_nondecreasing}, in band={report.in_band})")
 
 
 _RUNNERS = {
@@ -337,7 +314,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = resolve_settings(args)
-        return _RUNNERS[args.command](settings)
+        cfg = build_experiment(settings)
+        out = settings["out"]
+        files, extras, summary = _RUNNERS[args.command](cfg, settings, out)
+        if files is not None:
+            payload = manifest_payload(cfg, args.command, files, **extras)
+            write_manifest(os.path.join(out, "manifest.json"), payload)
+        print(summary)
+        return 0
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

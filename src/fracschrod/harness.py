@@ -65,10 +65,6 @@ __all__ = [
     "emit_figure_data",
     "write_csv",
     "write_manifest",
-    "write_sweep_csv",
-    "write_uniqueness_csv",
-    "write_consistency_csv",
-    "write_energy_scaling_csv",
     "density_rows",
     "energy_rows",
 ]
@@ -77,15 +73,6 @@ DEFAULT_EPSILONS = (0.8, 0.4, 0.3, 0.15, 0.11, 0.08, 0.05, 0.035)
 
 DENSITY_HEADER = ("x", "re_u", "im_u", "density")
 ENERGY_HEADER = ("t", "mass", "energy", "hs_part", "potential_part")
-SWEEP_HEADER = (
-    "epsilon",
-    "sup_norm_p",
-    "final_mass",
-    "final_energy",
-    "final_composite_norm",
-    "window_mass",
-    "n_maxima",
-)
 
 WINDOW_HALF_WIDTH = 0.3
 MAXIMA_FLOOR_FRACTION = 0.01
@@ -103,7 +90,7 @@ REGULAR_TAGS = {"zero": "zero", "constant_one": "one", "harmonic_shifted": "harm
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: potential family, width list, solver, grid, output."""
+    """One experiment: potential family, width list, solver, grid."""
 
     potential: PotentialSpec = PotentialSpec("delta")
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
@@ -111,7 +98,6 @@ class ExperimentConfig:
     x_min: float = 0.0
     x_max: float = 10.0
     n: int = 1024
-    output_dir: str | None = None
     mollify_data: bool = False
 
     def __post_init__(self) -> None:
@@ -465,30 +451,6 @@ def energy_rows(trajectory: Trajectory):
                trajectory.potential_part.tolist())
 
 
-def write_sweep_csv(report: SweepReport, path: str) -> None:
-    rows = (
-        (r.epsilon, r.sup_norm_p, r.final_mass, r.final_energy,
-         r.final_composite_norm, r.window_mass_at_site, r.n_maxima)
-        for r in report.records
-    )
-    write_csv(path, SWEEP_HEADER, rows)
-
-
-def write_uniqueness_csv(report: UniquenessReport, path: str) -> None:
-    rows = zip(report.config.epsilons, report.distances)
-    write_csv(path, ("epsilon", "distance"), rows)
-
-
-def write_consistency_csv(report: ConsistencyReport, path: str) -> None:
-    rows = zip(report.config.epsilons, report.errors)
-    write_csv(path, ("epsilon", "error"), rows)
-
-
-def write_energy_scaling_csv(report: EnergyScalingReport, path: str) -> None:
-    rows = zip(report.config.epsilons, report.max_energies)
-    write_csv(path, ("epsilon", "max_energy"), rows)
-
-
 # ---------------------------------------------------------------------------
 # Figure data
 
@@ -543,7 +505,7 @@ def _energy_tables(cfg: ExperimentConfig, spec: PotentialSpec, epsilons, out: st
     return [table(e) for e in epsilons]
 
 
-def emit_figure_data(cfg: ExperimentConfig, figure: str, out_dir: str | None = None) -> dict:
+def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
     """Write the CSV tables behind one standard figure; returns the manifest.
 
     The potential family and widths are fixed per figure; the grid, solver
@@ -551,9 +513,6 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out_dir: str | None = N
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    out = out_dir if out_dir is not None else cfg.output_dir
-    if out is None:
-        raise ValueError("no output directory given")
     os.makedirs(out, exist_ok=True)
     files: list[str] = []
 

@@ -10,6 +10,7 @@ import pytest
 import fracschrod.cli as cli
 from fracschrod.cli import (
     BACKEND_MAP,
+    COMMANDS,
     CONFIG_KEYS,
     POTENTIAL_MAP,
     build_parser,
@@ -20,6 +21,34 @@ from fracschrod.solver import NumericalAbort
 
 FAST = ["--nx", "256", "--dt", "0.0107", "--t-end", "0.0214"]
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one small run per command, added to FAST; every value kind appears once
+RUNS = {
+    "simulate": ["--eps", "0.2", "--backend", "spectral", "--s", "0.75"],
+    "sweep": ["--eps", "0.4,0.2,0.1", "--mollify-data", "--domain", "0,10"],
+    "uniqueness": ["--eps", "0.4,0.2,0.1", "--m", "2.5"],
+    "consistency": ["--eps", "0.4,0.2", "--reference", "matched", "--potential", "one"],
+    "figures": ["--figure", "fig4"],
+    "energy-scaling": ["--eps", "0.4,0.2,0.1", "--potential", "zero"],
+}
+SUMMARY_PREFIX = {
+    "simulate": "simulate: eps=0.2 final mass ",
+    "sweep": "sweep: potential growth exponent ",
+    "uniqueness": "uniqueness: m=2.5 fitted decay rate ",
+    "consistency": "consistency: errors ",
+    "figures": "figures: wrote 3 tables for fig4 to ",
+    "energy-scaling": "energy-scaling: peak ratio ",
+}
+# perfbench/checks.py reads the headline numbers by these names
+MANIFEST_KEYS = {
+    "simulate": {"epsilon", "final_mass", "final_energy"},
+    "sweep": {"potential_moderateness_n", "potential_residual", "potential_fit_flagged",
+              "solution_moderateness_n", "solution_residual", "solution_fit_flagged"},
+    "uniqueness": {"m", "decay_rate", "residual"},
+    "consistency": {"reference", "strictly_decreasing"},
+    "figures": {"figure"},
+    "energy-scaling": {"ratio", "monotone_nondecreasing", "in_band"},
+}
 
 
 def test_command_enums():
@@ -93,6 +122,74 @@ def test_flags_and_config_keys_agree():
             assert action.dest in dests, (name, longs[0])
             seen.add(action.dest)
     assert seen == dests
+
+
+def _as_config_file(argv) -> str:
+    lines, rest = [], list(argv)
+    while rest:
+        key = rest.pop(0).removeprefix("--")
+        lines.append(f"{key} = {'yes' if key == 'mollify-data' else rest.pop(0)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_summary_line_and_manifest_keys(tmp_path, capsys, command):
+    assert main([command, "--out", str(tmp_path)] + FAST + RUNS[command]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(SUMMARY_PREFIX[command]) and out.count("\n") == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"command", "config_hash", "created", "files"} | MANIFEST_KEYS[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flags_and_config_file_give_the_same_run(tmp_path, command):
+    argv = FAST + RUNS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_as_config_file(argv))
+    flags, from_file = tmp_path / "flags", tmp_path / "file"
+    assert main([command, "--out", str(flags)] + argv) == 0
+    assert main([command, "--config", str(cfg), "--out", str(from_file)]) == 0
+
+    def tables(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*.csv")}
+
+    def config_hash(root):
+        return json.loads((root / "manifest.json").read_text())["config_hash"]
+
+    assert tables(flags) and tables(flags) == tables(from_file)
+    assert config_hash(flags) == config_hash(from_file)
+
+
+@pytest.mark.parametrize("overridden", [False, True])
+@pytest.mark.parametrize("command, line, flag", [
+    ("simulate", "backend = foo", ["--backend", "cn"]),
+    ("figures", "figure = fig9", ["--figure", "fig1"]),
+    ("consistency", "reference = coarse", ["--reference", "fine"]),
+    ("simulate", "mollify-data = maybe", ["--mollify-data"]),
+    ("simulate", "nx = 2.5", ["--nx", "256"]),
+])
+def test_bad_config_value_is_an_error(tmp_path, capsys, command, line, flag, overridden):
+    # parsed as the file is read, so a flag for the same key does not hide it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv + (flag if overridden else [])) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--backend", "foo"],
+    ["figures", "--figure", "fig9"],
+    ["simulate", "--s", "abc"],
+])
+def test_bad_flag_value_is_an_error(tmp_path, argv):
+    proc = subprocess.run([sys.executable, "-m", "fracschrod", *argv, "--out", str(tmp_path / "o")],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {argv[1]}: ")
+    assert not (tmp_path / "o").exists()
 
 
 class TestConfigFile:

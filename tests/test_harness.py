@@ -452,7 +452,7 @@ class TestFigureEmission:
             emit_figure_data(quick_config(), "fig9", str(tmp_path))
 
     def test_requires_output_directory(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             emit_figure_data(quick_config(), "fig1")
 
 
