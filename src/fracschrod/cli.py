@@ -4,8 +4,9 @@ Subcommands: simulate, sweep, uniqueness, consistency, figures,
 energy-scaling.  Settings resolve in three layers: built-in defaults, then a
 flat key=value config file (--config), then explicit flags.  One table,
 SETTINGS, gives each setting its parser, default, help and the commands
-that take it as a flag; flag values and config-file lines go through the
-same parser, so an invalid value is reported the same way from either.
+that take it, as a flag or as a config-file line; flag values and
+config-file lines go through the same parser, so an invalid value is
+reported the same way from either.  Flags are never abbreviated.
 
 Each command writes its tables and returns its file names, the headline
 numbers for the manifest and a one-line summary; main writes manifest.json
@@ -14,7 +15,7 @@ and prints the summary.  Exit codes:
 * 0: success
 * 2: invalid settings (bad flag or config-file values, inconsistent
   backend/order, ...)
-* 3: the run produced a non-finite state
+* 3: a run produced a non-finite state (the message names its width)
 * 4: file system trouble (unreadable config, unwritable output, ...)
 """
 
@@ -98,12 +99,12 @@ class _Choice(tuple):
 class Setting(NamedTuple):
     parse: Callable[[str], object]
     default: object = None
-    commands: tuple[str, ...] = COMMANDS  # the subcommands that take it as a flag
+    commands: tuple[str, ...] = COMMANDS  # the subcommands that take it
     help: str | None = None
 
 
-# every setting, in flag order; a config file may set any of them, spelled
-# as the long flag
+# every setting, in flag order; a config file may set those its command
+# takes, spelled as the long flag
 SETTINGS = {
     "out": Setting(str, "fracschrod_out", help="output directory"),
     "backend": Setting(_Choice(sorted(BACKEND_MAP)), "cn"),
@@ -138,17 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracschrod",
         description="Numerical experiments for the regularized singular-potential flow.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         p.add_argument("--config", help="flat key=value settings file")
         for key, setting in SETTINGS.items():
             if name not in setting.commands:
                 continue
             options = {"help": setting.help}
             if setting.parse is _boolean:
-                options.update(action="store_const", const="yes")
+                options.update(nargs="?", const="yes", metavar="{yes,no}")
             elif isinstance(setting.parse, _Choice):
                 options["metavar"] = "{" + ",".join(setting.parse) + "}"
             p.add_argument(f"--{key}", **options)
@@ -190,6 +192,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     settings.update(_PER_COMMAND[args.command])
     if args.config is not None:
         for key, text in read_config_file(args.config).items():
+            if args.command not in SETTINGS[key].commands:
+                raise ValueError(f"{args.config}: {key}: not a setting of {args.command}")
             settings[key] = _parse(key, text, f"{args.config}: {key}")
     for key in SETTINGS:
         text = getattr(args, key.replace("-", "_"), None)

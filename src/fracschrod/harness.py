@@ -13,9 +13,12 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 * delta_squared_energy_scaling: track the largest energy per width for the
   squared-bump model.
 
-Each driver runs its widths one at a time and keeps only what it reports
-(a record, a gap, a peak, a file name), so no more than one width's
-trajectories are alive at once.
+single_run builds and runs one width: it samples the potential, prepares
+the datum and calls simulate, whose aborts name the width.  Every driver
+but consistency's (the only one that smooths a regular potential) runs its
+widths through it, one at a time, and keeps only what it reports (a record,
+a gap, a peak, a file name), so no more than one width's trajectories are
+alive at once.  The figures are one table, FIGURE_RUNS.
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
@@ -44,7 +47,7 @@ from .mollifier import (
     sup_norm,
 )
 from .observables import count_local_maxima, position_density, window_mass
-from .solver import NumericalAbort, SolverConfig, Trajectory, initial_datum, simulate
+from .solver import SolverConfig, Trajectory, initial_datum, simulate
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -77,7 +80,6 @@ ENERGY_HEADER = ("t", "mass", "energy", "hs_part", "potential_part")
 WINDOW_HALF_WIDTH = 0.3
 MAXIMA_FLOOR_FRACTION = 0.01
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 FIG1_TIMES = (0.0, 0.0428, 0.1070, 0.1391, 0.2140, 0.2996)
 FIG2_TIMES = (0.0, 0.1070, 0.2140, 0.2996)
 FIG3_TIME = 0.2140
@@ -86,6 +88,20 @@ FIG4_EPSILONS = (0.05, 0.11, 0.49)
 FIG5_TIMES = (0.0, 0.0214, 0.0428, 0.0642)
 FIG5_ENERGY_EPSILONS = (0.05, 0.15, 0.25, 0.5)
 REGULAR_TAGS = {"zero": "zero", "constant_one": "one", "harmonic_shifted": "harmonic"}
+DENSITY_NAME = "density_t{t:.4f}_eps{eps:g}.csv"
+
+# per figure: density runs (potential kind, widths, snapshot times, file
+# name template) and energy tables (potential kind, widths), in run order
+FIGURE_RUNS = {
+    "fig1": ([("delta", (0.05,), FIG1_TIMES, DENSITY_NAME)], []),
+    "fig2": ([(kind, (0.05,), FIG2_TIMES, f"density_p{tag}_t{{t:.4f}}.csv")
+              for kind, tag in REGULAR_TAGS.items()], []),
+    "fig3": ([("delta", FIG3_EPSILONS, (FIG3_TIME,), DENSITY_NAME)], []),
+    "fig4": ([], [("delta", FIG4_EPSILONS)]),
+    "fig5": ([("delta_squared", (0.05,), FIG5_TIMES, DENSITY_NAME)],
+             [("delta_squared", FIG5_ENERGY_EPSILONS)]),
+}
+FIGURES = tuple(FIGURE_RUNS)
 
 
 @dataclass(frozen=True)
@@ -148,22 +164,11 @@ def prepared_datum(cfg: ExperimentConfig, grid: Grid, epsilon: float) -> Complex
 
 
 def single_run(cfg: ExperimentConfig, epsilon: float):
-    """One solve at one width; returns (trajectory, potential, datum).
-
-    A numerical abort is re-raised tagged with the offending width.
-    """
+    """One solve at one width; returns (trajectory, potential, datum)."""
     grid = cfg.grid
     potential = regularize_potential(cfg.potential, grid, epsilon)
     datum = prepared_datum(cfg, grid, epsilon)
-    trajectory = _simulate_tagged(datum, potential, cfg.solver, epsilon)
-    return trajectory, potential, datum
-
-
-def _simulate_tagged(datum, potential, solver: SolverConfig, epsilon: float) -> Trajectory:
-    try:
-        return simulate(datum, potential, solver)
-    except NumericalAbort as exc:
-        raise NumericalAbort(exc.step, exc.time, exc.worst, epsilon=epsilon) from None
+    return simulate(datum, potential, cfg.solver), potential, datum
 
 
 @dataclass(frozen=True)
@@ -295,14 +300,12 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
     root_dx = np.sqrt(grid.dx)
 
     def gap(epsilon: float) -> float:
-        base = regularize_potential(cfg.potential, grid, epsilon)
+        t_base, base, datum = single_run(cfg, epsilon)
         shifted = RegularizedPotential(
             cfg.potential, epsilon,
             RealField(grid, base.field.values + epsilon**m * perturbation.values),
         )
-        datum = prepared_datum(cfg, grid, epsilon)
-        t_base = _simulate_tagged(datum, base, cfg.solver, epsilon)
-        t_shift = _simulate_tagged(datum, shifted, cfg.solver, epsilon)
+        t_shift = simulate(datum, shifted, cfg.solver)
         return max(
             float(root_dx * np.linalg.norm(a.values - b.values))
             for a, b in zip(t_base.states, t_shift.states)
@@ -360,7 +363,7 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     def error(epsilon: float) -> float:
         smoothed = regularize_potential(cfg.potential, grid, epsilon, mollify_regular=True)
         datum = prepared_datum(cfg, grid, epsilon)
-        final = _simulate_tagged(datum, smoothed, solver, epsilon).states[-1]
+        final = simulate(datum, smoothed, solver).states[-1]
         return l2_norm(ComplexField(grid, final.values - ref_values))
 
     # one width's run at a time: its final state dies when error() returns
@@ -460,90 +463,56 @@ def _snapshot(trajectory: Trajectory, t: float, tol: float = 1e-9):
     return int(hits[0]) if hits.size else None
 
 
-def _density_snapshots(cfg: ExperimentConfig, spec: PotentialSpec, epsilon: float,
-                       times, out: str, name_fn) -> list[str]:
-    """Record a run densely and dump one density table per requested time.
+def _density_snapshots(cfg: ExperimentConfig, epsilon: float, times, out: str,
+                       name: str) -> list[str]:
+    """Run cfg at one width and dump one density table per requested time.
 
     A time that does not land on a recorded step (custom dt) is reached from
     the last full step before it by one shortened step, as a run ending
     exactly there would take it.
     """
-    grid = cfg.grid
-    potential = regularize_potential(spec, grid, epsilon)
-    datum = prepared_datum(cfg, grid, epsilon)
-    dense = replace(cfg.solver, record_every=1)
-    trajectory = _simulate_tagged(datum, potential, replace(dense, t_end=max(times)), epsilon)
+    dt = cfg.solver.dt
+    trajectory, potential, _ = single_run(cfg, epsilon)
     files = []
     for t in times:
         idx = _snapshot(trajectory, t)
         if idx is None:
-            steps = int(np.floor(t / dense.dt + 1e-9))  # simulate's count of full steps
-            remainder = t - steps * dense.dt
-            last = replace(dense, dt=remainder, t_end=remainder)
-            state = _simulate_tagged(trajectory.states[steps], potential, last, epsilon).states[-1]
+            steps = int(np.floor(t / dt + 1e-9))  # simulate's count of full steps
+            remainder = t - steps * dt
+            last = replace(cfg.solver, dt=remainder, t_end=remainder)
+            state = simulate(trajectory.states[steps], potential, last).states[-1]
         else:
             state = trajectory.states[idx]
-        name = name_fn(t)
-        write_csv(os.path.join(out, name), DENSITY_HEADER, density_rows(state))
-        files.append(name)
+        files.append(name.format(t=t, eps=epsilon))
+        write_csv(os.path.join(out, files[-1]), DENSITY_HEADER, density_rows(state))
     return files
-
-
-def _energy_tables(cfg: ExperimentConfig, spec: PotentialSpec, epsilons, out: str) -> list[str]:
-    """Record every step to t_end and dump one energy table per width."""
-    grid = cfg.grid
-    solver = replace(cfg.solver, record_every=1)
-
-    def table(epsilon: float) -> str:
-        potential = regularize_potential(spec, grid, epsilon)
-        datum = prepared_datum(cfg, grid, epsilon)
-        trajectory = _simulate_tagged(datum, potential, solver, epsilon)
-        name = f"energy_eps{epsilon:g}.csv"
-        write_csv(os.path.join(out, name), ENERGY_HEADER, energy_rows(trajectory))
-        return name
-
-    return [table(e) for e in epsilons]
 
 
 def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
     """Write the CSV tables behind one standard figure; returns the manifest.
 
-    The potential family and widths are fixed per figure; the grid, solver
-    backend and step come from cfg.
+    The potential family and widths are fixed per figure by FIGURE_RUNS;
+    the grid, solver backend, step and datum smoothing come from cfg.  Every
+    run records every step.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
     os.makedirs(out, exist_ok=True)
+    dense = replace(cfg.solver, record_every=1)
+    densities, energies = FIGURE_RUNS[figure]
     files: list[str] = []
-
-    if figure == "fig1":
-        spec = PotentialSpec("delta")
-        files += _density_snapshots(
-            cfg, spec, 0.05, FIG1_TIMES, out,
-            lambda t: f"density_t{t:.4f}_eps{0.05:g}.csv",
-        )
-    elif figure == "fig2":
-        for kind, tag in REGULAR_TAGS.items():
-            files += _density_snapshots(
-                cfg, PotentialSpec(kind), 0.05, FIG2_TIMES, out,
-                lambda t, tag=tag: f"density_p{tag}_t{t:.4f}.csv",
-            )
-    elif figure == "fig3":
-        spec = PotentialSpec("delta")
-        for epsilon in FIG3_EPSILONS:
-            files += _density_snapshots(
-                cfg, spec, epsilon, (FIG3_TIME,), out,
-                lambda t, e=epsilon: f"density_t{t:.4f}_eps{e:g}.csv",
-            )
-    elif figure == "fig4":
-        files += _energy_tables(cfg, PotentialSpec("delta"), FIG4_EPSILONS, out)
-    else:  # fig5
-        spec = PotentialSpec("delta_squared")
-        files += _density_snapshots(
-            cfg, spec, 0.05, FIG5_TIMES, out,
-            lambda t: f"density_t{t:.4f}_eps{0.05:g}.csv",
-        )
-        files += _energy_tables(cfg, spec, FIG5_ENERGY_EPSILONS, out)
+    for kind, epsilons, times, name in densities:
+        run_cfg = replace(cfg, potential=PotentialSpec(kind),
+                          solver=replace(dense, t_end=max(times)))
+        for epsilon in epsilons:
+            files += _density_snapshots(run_cfg, epsilon, times, out, name)
+    for kind, epsilons in energies:
+        run_cfg = replace(cfg, potential=PotentialSpec(kind), solver=dense)
+        for epsilon in epsilons:
+            files.append(f"energy_eps{epsilon:g}.csv")
+            # bind no name to the run, so it dies before the next one starts
+            write_csv(os.path.join(out, files[-1]), ENERGY_HEADER,
+                      energy_rows(single_run(run_cfg, epsilon)[0]))
 
     payload = manifest_payload(cfg, f"figures:{figure}", files, figure=figure)
     write_manifest(os.path.join(out, "manifest.json"), payload)

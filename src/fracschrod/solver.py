@@ -50,17 +50,16 @@ PACKET_HALF_WIDTH = 0.5
 
 
 class NumericalAbort(RuntimeError):
-    """A state stopped being finite mid-run."""
+    """A state stopped being finite mid-run at regularization width epsilon."""
 
-    def __init__(self, step: int, time: float, worst: float, epsilon: float | None = None):
+    def __init__(self, step: int, time: float, worst: float, epsilon: float):
         self.step = step
         self.time = time
         self.worst = worst
         self.epsilon = epsilon
-        where = "" if epsilon is None else f" at regularization width {epsilon:g}"
         super().__init__(
-            f"non-finite state at step {step} (t = {time:.6g}){where}; "
-            f"largest finite magnitude seen {worst:.3e}"
+            f"non-finite state at step {step} (t = {time:.6g}) at regularization "
+            f"width {epsilon:g}; largest finite magnitude seen {worst:.3e}"
         )
 
 
@@ -310,8 +309,8 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     with a row per record: each step writes into the next free row, which
     advances only after a recorded step, and a step that is not recorded is
     overwritten by the next.  Any non-finite state aborts the run with step
-    diagnostics.  The observables of the recorded states are computed on
-    their first read from the trajectory, not here.
+    diagnostics and the width of the potential.  The observables of the
+    recorded states are computed on their first read from the trajectory.
     """
     if u0.grid != potential.field.grid:
         raise ValueError("datum and potential live on different grids")
@@ -342,17 +341,18 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     stepper = make_stepper(dt)
     for i in range(1, n_full + 1):
         values = stepper.step(values, rows[k])
-        worst = max(worst, _checked_peak(values, i, i * dt, worst))
+        worst = max(worst, _checked_peak(values, i, i * dt, worst, potential.epsilon))
         if i in marked:
             k += 1
     if remainder > 0.0:
         values = make_stepper(remainder).step(values, rows[k])
-        _checked_peak(values, n_full + 1, config.t_end, worst)
+        _checked_peak(values, n_full + 1, config.t_end, worst, potential.epsilon)
 
     return Trajectory(times=times, values=rows, potential=potential.field, order=config.order)
 
 
-def _checked_peak(values: np.ndarray, step: int, time: float, worst: float) -> float:
+def _checked_peak(values: np.ndarray, step: int, time: float, worst: float,
+                  epsilon: float) -> float:
     """Largest modulus of a new state; a non-finite component aborts the run.
 
     A non-finite component makes the peak non-finite, so one reduction
@@ -362,7 +362,7 @@ def _checked_peak(values: np.ndarray, step: int, time: float, worst: float) -> f
     """
     peak = float(np.max(np.abs(values)))
     if not np.isfinite(peak) and not np.all(np.isfinite(values)):
-        raise NumericalAbort(step, time, worst)
+        raise NumericalAbort(step, time, worst, epsilon)
     return peak
 
 

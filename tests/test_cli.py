@@ -62,6 +62,16 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--m"], ["sweep", "--mollify"],
+                                  ["consistency", "--ref", "matched"]],
+                         ids=["m", "mollify", "ref"])
+def test_abbreviated_flag_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 class TestSimulate:
     def test_happy_path(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path), "--eps", "0.2"] + FAST)
@@ -223,6 +233,37 @@ class TestConfigFile:
         cfg.write_text("grid_points = 256\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, line", [
+        ("simulate", "m = 3"),
+        ("sweep", "figure = fig1"),
+        ("uniqueness", "reference = matched"),
+    ])
+    def test_rejects_setting_of_another_command(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        key = line.split(" ")[0]
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_mollify_data_flag_overrides_file(self, tmp_path):
+        argv = FAST + ["--eps", "0.4,0.2,0.1"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mollify-data = yes\n")
+        plain, on, off = tmp_path / "plain", tmp_path / "on", tmp_path / "off"
+        assert main(["sweep", "--out", str(plain)] + argv) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(on)] + argv) == 0
+        assert main(["sweep", "--config", str(cfg), "--mollify-data", "no",
+                     "--out", str(off)] + argv) == 0
+
+        def run(root):
+            manifest = json.loads((root / "manifest.json").read_text())
+            return (root / "sweep.csv").read_bytes(), manifest["config_hash"]
+
+        assert run(off) == run(plain)
+        assert run(on)[0] != run(plain)[0] and run(on)[1] != run(plain)[1]
 
     def test_missing_file(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),

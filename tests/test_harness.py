@@ -259,6 +259,17 @@ class TestConsistency:
         assert report.strictly_decreasing
         assert report.errors[-1] < report.errors[0]
 
+    @pytest.mark.parametrize("reference", ["fine", "matched"])
+    def test_reference_abort_names_the_largest_width(self, monkeypatch, reference):
+        # the unsmoothed reference runs first, sampled at the largest width
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
+                            lambda self, values, out: np.multiply(values, np.nan, out=out))
+        solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
+        cfg = quick_config(kind="harmonic_shifted", n=256, solver=solver)
+        with pytest.raises(NumericalAbort) as err:
+            consistency_experiment(cfg, reference=reference)
+        assert err.value.epsilon == cfg.epsilons[0] == 0.4
+
 
 class TestEnergyScaling:
     def test_zero_potential_peaks_are_flat(self):
@@ -353,8 +364,9 @@ class TestOneWidthAtATime:
         consistency_experiment(cfg, reference=reference)
         assert alive == [0, 1, 1, 1]
 
-    @pytest.mark.parametrize("figure, runs", [("fig4", 3), ("fig5", 5)])
-    def test_energy_tables_keep_one_run(self, alive, tmp_path, figure, runs):
+    @pytest.mark.parametrize("figure, runs", [
+        ("fig1", 1), ("fig2", 3), ("fig3", 4), ("fig4", 3), ("fig5", 5)])
+    def test_figures_keep_one_run(self, alive, tmp_path, figure, runs):
         cfg = quick_config(n=256)
         emit_figure_data(cfg, figure, str(tmp_path))
         assert alive == [0] * runs
@@ -438,14 +450,15 @@ class TestFigureEmission:
             assert (tmp_path / f"density_t{t:.4f}_eps0.05.csv").read_bytes() == \
                 (tmp_path / "rerun.csv").read_bytes()
 
-    @pytest.mark.parametrize("figure", ["fig1", "fig4"])
+    @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_abort_names_the_width(self, tmp_path, monkeypatch, figure):
         monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
                             lambda self, values, out: np.multiply(values, np.nan, out=out))
         solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
         with pytest.raises(NumericalAbort) as err:
             emit_figure_data(quick_config(n=256, solver=solver), figure, str(tmp_path))
-        assert err.value.epsilon == 0.05
+        # the first width the figure runs
+        assert err.value.epsilon == (0.035 if figure == "fig3" else 0.05)
 
     def test_rejects_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):

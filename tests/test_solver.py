@@ -487,10 +487,11 @@ class TestSimulate:
         u = initial_datum(GRID)
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214)
         with pytest.raises(NumericalAbort) as err:
-            simulate(u, potential("zero"), cfg)
+            simulate(u, potential("zero", eps=0.3), cfg)
         assert err.value.step == 1
         assert err.value.time == pytest.approx(DT)
         assert np.isfinite(err.value.worst)
+        assert err.value.epsilon == 0.3
 
     def test_apriori_bound_on_regular_potentials(self):
         # sup_t ||u(t)|| <= C (1 + sup|p|) ||u0|| with one modest constant
