@@ -6,7 +6,9 @@ flat key=value config file (--config), then explicit flags.  One table,
 SETTINGS, gives each setting its parser, default, help and the commands
 that take it, as a flag or as a config-file line; flag values and
 config-file lines go through the same parser, so an invalid value is
-reported the same way from either.  Flags are never abbreviated.
+reported the same way from either.  Flags are never abbreviated.  One
+table, COMMANDS, gives each subcommand its runner and the defaults it sets
+over the settings' own.
 
 Each command writes its tables and returns its file names, the headline
 numbers for the manifest and a one-line summary; main writes manifest.json
@@ -29,19 +31,19 @@ from typing import Callable, NamedTuple
 from .harness import (
     DEFAULT_EPSILONS,
     ExperimentConfig,
+    check_figure,
     consistency_experiment,
     delta_squared_energy_scaling,
     density_rows,
     emit_figure_data,
     energy_rows,
     epsilon_sweep,
-    manifest_payload,
     single_run,
     uniqueness_experiment,
     write_csv,
     write_manifest,
 )
-from .harness import DENSITY_HEADER, ENERGY_HEADER, FIGURES
+from .harness import DENSITY_HEADER, DENSITY_NAME, ENERGY_HEADER, ENERGY_NAME, FIGURES
 from .mollifier import PotentialSpec
 from .operators import FractionalOrder
 from .solver import NumericalAbort, SolverConfig
@@ -54,7 +56,6 @@ POTENTIAL_MAP = {
     "delta": "delta",
     "delta2": "delta_squared",
 }
-COMMANDS = ("simulate", "sweep", "uniqueness", "consistency", "figures", "energy-scaling")
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -96,10 +97,112 @@ class _Choice(tuple):
         return text
 
 
+def _table(out: str, name: str, header, rows) -> str:
+    """Write one CSV table into out, creating out if needed; returns the name."""
+    os.makedirs(out, exist_ok=True)
+    write_csv(os.path.join(out, name), header, rows)
+    return name
+
+
+def _or_na(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
+
+
+def cmd_simulate(cfg: ExperimentConfig, settings: dict, out: str):
+    if len(cfg.epsilons) != 1:
+        raise ValueError("simulate runs a single width; pass exactly one --eps value")
+    epsilon = cfg.epsilons[0]
+    trajectory, _, _ = single_run(cfg, epsilon)
+    files = [
+        _table(out, DENSITY_NAME.format(t=cfg.solver.t_end, eps=epsilon),
+               DENSITY_HEADER, density_rows(trajectory.states[-1])),
+        _table(out, ENERGY_NAME.format(eps=epsilon), ENERGY_HEADER, energy_rows(trajectory)),
+    ]
+    mass, energy = float(trajectory.mass[-1]), float(trajectory.energy[-1])
+    return (files, {"epsilon": epsilon, "final_mass": mass, "final_energy": energy},
+            f"simulate: eps={epsilon:g} final mass {mass:.6g} "
+            f"final energy {energy:.6g}; wrote {out}/{files[0]}")
+
+
+def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
+    report = epsilon_sweep(cfg)
+    header = ("epsilon", "sup_norm_p", "final_mass", "final_energy",
+              "final_composite_norm", "window_mass", "n_maxima")
+    rows = ((r.epsilon, r.sup_norm_p, r.final_mass, r.final_energy,
+             r.final_composite_norm, r.window_mass_at_site, r.n_maxima)
+            for r in report.records)
+    extras = {key: getattr(report, key) for key in (
+        "potential_moderateness_n", "potential_residual", "potential_fit_flagged",
+        "solution_moderateness_n", "solution_residual", "solution_fit_flagged")}
+    return ([_table(out, "sweep.csv", header, rows)], extras,
+            f"sweep: potential growth exponent {_or_na(report.potential_moderateness_n)}, "
+            f"solution growth exponent {_or_na(report.solution_moderateness_n)}")
+
+
+def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):
+    report = uniqueness_experiment(cfg, m=settings["m"])
+    rows = zip(cfg.epsilons, report.distances)
+    return ([_table(out, "uniqueness.csv", ("epsilon", "distance"), rows)],
+            {"m": report.m, "decay_rate": report.decay_rate, "residual": report.residual},
+            f"uniqueness: m={report.m:g} fitted decay rate {_or_na(report.decay_rate)}")
+
+
+def cmd_consistency(cfg: ExperimentConfig, settings: dict, out: str):
+    report = consistency_experiment(cfg, reference=settings["reference"])
+    rows = zip(cfg.epsilons, report.errors)
+    trend = "decreasing" if report.strictly_decreasing else "not monotone"
+    return ([_table(out, "consistency.csv", ("epsilon", "error"), rows)],
+            {"reference": report.reference, "strictly_decreasing": report.strictly_decreasing},
+            f"consistency: errors {trend}; smallest {min(report.errors):.3e}")
+
+
+def cmd_figures(cfg: ExperimentConfig, settings: dict, out: str):
+    """emit_figure_data writes each figure's manifest, so main writes none."""
+    figure = settings["figure"]
+    if figure is None:
+        raise ValueError("figures needs --figure (fig1..fig5 or all)")
+    if figure == "all":
+        for name in FIGURES:  # check them all first, so a bad dt writes nothing
+            check_figure(cfg, name)
+        for name in FIGURES:
+            emit_figure_data(cfg, name, os.path.join(out, name))
+        return None, None, f"figures: wrote {len(FIGURES)} figure directories under {out}"
+    payload = emit_figure_data(cfg, figure, out)
+    return None, None, f"figures: wrote {len(payload['files'])} tables for {figure} to {out}"
+
+
+def cmd_energy_scaling(cfg: ExperimentConfig, settings: dict, out: str):
+    report = delta_squared_energy_scaling(cfg)
+    rows = zip(cfg.epsilons, report.max_energies)
+    return ([_table(out, "energy_scaling.csv", ("epsilon", "max_energy"), rows)],
+            {"ratio": report.ratio, "monotone_nondecreasing": report.monotone_nondecreasing,
+             "in_band": report.in_band},
+            f"energy-scaling: peak ratio {report.ratio:.4f} "
+            f"(monotone={report.monotone_nondecreasing}, in band={report.in_band})")
+
+
+class Command(NamedTuple):
+    run: Callable[[ExperimentConfig, dict, str], tuple]
+    defaults: dict  # over the settings' own defaults, under the config file
+
+
+# every subcommand, in the order --help lists them
+COMMANDS = {
+    "simulate": Command(cmd_simulate, {"eps": (0.05,), "t-end": 0.2996}),
+    "sweep": Command(cmd_sweep, {"eps": DEFAULT_EPSILONS, "t-end": 0.214}),
+    "uniqueness": Command(cmd_uniqueness, {"eps": DEFAULT_EPSILONS, "t-end": 0.214}),
+    "consistency": Command(cmd_consistency, {"eps": (0.8, 0.4, 0.2, 0.1), "t-end": 0.214,
+                                             "potential": "harmonic", "backend": "spectral"}),
+    "figures": Command(cmd_figures, {"eps": (0.05,), "t-end": 0.2996}),
+    "energy-scaling": Command(cmd_energy_scaling, {"eps": DEFAULT_EPSILONS, "t-end": 0.2996,
+                                                   "potential": "delta2"}),
+}
+
+
 class Setting(NamedTuple):
     parse: Callable[[str], object]
     default: object = None
-    commands: tuple[str, ...] = COMMANDS  # the subcommands that take it
+    commands: tuple[str, ...] = tuple(COMMANDS)  # the subcommands that take it
     help: str | None = None
 
 
@@ -120,17 +223,6 @@ SETTINGS = {
     "figure": Setting(_Choice(FIGURES + ("all",)), None, ("figures",), "which figure to emit"),
     "reference": Setting(_Choice(("fine", "matched")), "fine", ("consistency",),
                          "reference run: refined exact solve or same resolution"),
-}
-CONFIG_KEYS = tuple(SETTINGS)
-
-_PER_COMMAND = {
-    "simulate": {"eps": (0.05,), "t-end": 0.2996},
-    "sweep": {"eps": DEFAULT_EPSILONS, "t-end": 0.214},
-    "uniqueness": {"eps": DEFAULT_EPSILONS, "t-end": 0.214},
-    "consistency": {"eps": (0.8, 0.4, 0.2, 0.1), "t-end": 0.214,
-                    "potential": "harmonic", "backend": "spectral"},
-    "figures": {"eps": (0.05,), "t-end": 0.2996},
-    "energy-scaling": {"eps": DEFAULT_EPSILONS, "t-end": 0.2996, "potential": "delta2"},
 }
 
 
@@ -189,7 +281,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     reported even when a flag overrides it.
     """
     settings = {key: setting.default for key, setting in SETTINGS.items()}
-    settings.update(_PER_COMMAND[args.command])
+    settings.update(COMMANDS[args.command].defaults)
     if args.config is not None:
         for key, text in read_config_file(args.config).items():
             if args.command not in SETTINGS[key].commands:
@@ -209,7 +301,6 @@ def build_experiment(settings: dict) -> ExperimentConfig:
         dt=settings["dt"],
         t_end=settings["t-end"],
         order=FractionalOrder(settings["s"]),
-        record_every=1,
     )
     return ExperimentConfig(
         potential=PotentialSpec(POTENTIAL_MAP[settings["potential"]]),
@@ -222,108 +313,15 @@ def build_experiment(settings: dict) -> ExperimentConfig:
     )
 
 
-def _table(out: str, name: str, header, rows) -> str:
-    """Write one CSV table into out, creating out if needed; returns the name."""
-    os.makedirs(out, exist_ok=True)
-    write_csv(os.path.join(out, name), header, rows)
-    return name
-
-
-def _or_na(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.4f}"
-
-
-def cmd_simulate(cfg: ExperimentConfig, settings: dict, out: str):
-    if len(cfg.epsilons) != 1:
-        raise ValueError("simulate runs a single width; pass exactly one --eps value")
-    epsilon = cfg.epsilons[0]
-    trajectory, _, _ = single_run(cfg, epsilon)
-    files = [
-        _table(out, f"density_t{cfg.solver.t_end:.4f}_eps{epsilon:g}.csv",
-               DENSITY_HEADER, density_rows(trajectory.states[-1])),
-        _table(out, f"energy_eps{epsilon:g}.csv", ENERGY_HEADER, energy_rows(trajectory)),
-    ]
-    mass, energy = float(trajectory.mass[-1]), float(trajectory.energy[-1])
-    return (files, {"epsilon": epsilon, "final_mass": mass, "final_energy": energy},
-            f"simulate: eps={epsilon:g} final mass {mass:.6g} "
-            f"final energy {energy:.6g}; wrote {out}/{files[0]}")
-
-
-def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
-    report = epsilon_sweep(cfg)
-    header = ("epsilon", "sup_norm_p", "final_mass", "final_energy",
-              "final_composite_norm", "window_mass", "n_maxima")
-    rows = ((r.epsilon, r.sup_norm_p, r.final_mass, r.final_energy,
-             r.final_composite_norm, r.window_mass_at_site, r.n_maxima)
-            for r in report.records)
-    extras = {key: getattr(report, key) for key in (
-        "potential_moderateness_n", "potential_residual", "potential_fit_flagged",
-        "solution_moderateness_n", "solution_residual", "solution_fit_flagged")}
-    return ([_table(out, "sweep.csv", header, rows)], extras,
-            f"sweep: potential growth exponent {_or_na(report.potential_moderateness_n)}, "
-            f"solution growth exponent {_or_na(report.solution_moderateness_n)}")
-
-
-def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):
-    report = uniqueness_experiment(cfg, m=settings["m"])
-    rows = zip(cfg.epsilons, report.distances)
-    return ([_table(out, "uniqueness.csv", ("epsilon", "distance"), rows)],
-            {"m": report.m, "decay_rate": report.decay_rate, "residual": report.residual},
-            f"uniqueness: m={report.m:g} fitted decay rate {_or_na(report.decay_rate)}")
-
-
-def cmd_consistency(cfg: ExperimentConfig, settings: dict, out: str):
-    report = consistency_experiment(cfg, reference=settings["reference"])
-    rows = zip(cfg.epsilons, report.errors)
-    trend = "decreasing" if report.strictly_decreasing else "not monotone"
-    return ([_table(out, "consistency.csv", ("epsilon", "error"), rows)],
-            {"reference": report.reference, "strictly_decreasing": report.strictly_decreasing},
-            f"consistency: errors {trend}; smallest {min(report.errors):.3e}")
-
-
-def cmd_figures(cfg: ExperimentConfig, settings: dict, out: str):
-    """emit_figure_data writes each figure's manifest, so main writes none."""
-    figure = settings["figure"]
-    if figure is None:
-        raise ValueError("figures needs --figure (fig1..fig5 or all)")
-    if figure == "all":
-        for name in FIGURES:
-            emit_figure_data(cfg, name, os.path.join(out, name))
-        return None, None, f"figures: wrote {len(FIGURES)} figure directories under {out}"
-    payload = emit_figure_data(cfg, figure, out)
-    return None, None, f"figures: wrote {len(payload['files'])} tables for {figure} to {out}"
-
-
-def cmd_energy_scaling(cfg: ExperimentConfig, settings: dict, out: str):
-    report = delta_squared_energy_scaling(cfg)
-    rows = zip(cfg.epsilons, report.max_energies)
-    return ([_table(out, "energy_scaling.csv", ("epsilon", "max_energy"), rows)],
-            {"ratio": report.ratio, "monotone_nondecreasing": report.monotone_nondecreasing,
-             "in_band": report.in_band},
-            f"energy-scaling: peak ratio {report.ratio:.4f} "
-            f"(monotone={report.monotone_nondecreasing}, in band={report.in_band})")
-
-
-_RUNNERS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "uniqueness": cmd_uniqueness,
-    "consistency": cmd_consistency,
-    "figures": cmd_figures,
-    "energy-scaling": cmd_energy_scaling,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = resolve_settings(args)
         cfg = build_experiment(settings)
         out = settings["out"]
-        files, extras, summary = _RUNNERS[args.command](cfg, settings, out)
+        files, extras, summary = COMMANDS[args.command].run(cfg, settings, out)
         if files is not None:
-            payload = manifest_payload(cfg, args.command, files, **extras)
-            write_manifest(os.path.join(out, "manifest.json"), payload)
+            write_manifest(out, cfg, args.command, files, **extras)
         print(summary)
         return 0
     except NumericalAbort as exc:

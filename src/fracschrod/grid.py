@@ -125,7 +125,9 @@ class RealField:
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    """Validated constructor for a uniform periodic grid."""
+    """Validated constructor for a uniform periodic grid; n must be a whole number."""
+    if not float(n).is_integer():
+        raise ValueError(f"n must be a whole number of nodes, got {n}")
     return Grid(float(x_min), float(x_max), int(n))
 
 

@@ -4,8 +4,8 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 
 * epsilon_sweep: run every width in the family, tabulate observables, fit
   log-log growth rates of the potential and of the solution.
-* uniqueness_experiment: perturb the potential by eps^m times a fixed bump
-  and measure how fast the solutions pull together.
+* uniqueness_experiment: perturb the potential by eps^m times the unit bump
+  on (site - 1, site + 1) and measure how fast the solutions pull together.
 * consistency_experiment: smooth a regular potential and compare against the
   unsmoothed reference as the width shrinks.
 * emit_figure_data: write the density and energy tables behind the standard
@@ -18,7 +18,8 @@ the datum and calls simulate, whose aborts name the width.  Every driver
 but consistency's (the only one that smooths a regular potential) runs its
 widths through it, one at a time, and keeps only what it reports (a record,
 a gap, a peak, a file name), so no more than one width's trajectories are
-alive at once.  The figures are one table, FIGURE_RUNS.
+alive at once.  The figures are one table, FIGURE_RUNS, and their snapshot
+times follow simulate's own step plan (solver.step_plan).
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
@@ -47,7 +48,7 @@ from .mollifier import (
     sup_norm,
 )
 from .observables import count_local_maxima, position_density, window_mass
-from .solver import SolverConfig, Trajectory, initial_datum, simulate
+from .solver import SolverConfig, Trajectory, initial_datum, simulate, step_plan
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -65,6 +66,7 @@ __all__ = [
     "uniqueness_experiment",
     "consistency_experiment",
     "delta_squared_energy_scaling",
+    "check_figure",
     "emit_figure_data",
     "write_csv",
     "write_manifest",
@@ -79,6 +81,7 @@ ENERGY_HEADER = ("t", "mass", "energy", "hs_part", "potential_part")
 
 WINDOW_HALF_WIDTH = 0.3
 MAXIMA_FLOOR_FRACTION = 0.01
+ENERGY_BAND = (50.0, 800.0)  # peak-energy ratio range of the squared-bump model
 
 FIG1_TIMES = (0.0, 0.0428, 0.1070, 0.1391, 0.2140, 0.2996)
 FIG2_TIMES = (0.0, 0.1070, 0.2140, 0.2996)
@@ -89,6 +92,7 @@ FIG5_TIMES = (0.0, 0.0214, 0.0428, 0.0642)
 FIG5_ENERGY_EPSILONS = (0.05, 0.15, 0.25, 0.5)
 REGULAR_TAGS = {"zero": "zero", "constant_one": "one", "harmonic_shifted": "harmonic"}
 DENSITY_NAME = "density_t{t:.4f}_eps{eps:g}.csv"
+ENERGY_NAME = "energy_eps{eps:g}.csv"
 
 # per figure: density runs (potential kind, widths, snapshot times, file
 # name template) and energy tables (potential kind, widths), in run order
@@ -155,8 +159,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def prepared_datum(cfg: ExperimentConfig, grid: Grid, epsilon: float) -> ComplexField:
-    """The standard packet, smoothed at width epsilon when mollify_data is set."""
+def prepared_datum(cfg: ExperimentConfig, epsilon: float) -> ComplexField:
+    """The standard packet on cfg.grid, smoothed at width epsilon when mollify_data is set."""
+    grid = cfg.grid
     u0 = initial_datum(grid)
     if cfg.mollify_data:
         u0 = ComplexField(grid, mollify_samples(u0.values, grid, epsilon))
@@ -165,9 +170,8 @@ def prepared_datum(cfg: ExperimentConfig, grid: Grid, epsilon: float) -> Complex
 
 def single_run(cfg: ExperimentConfig, epsilon: float):
     """One solve at one width; returns (trajectory, potential, datum)."""
-    grid = cfg.grid
-    potential = regularize_potential(cfg.potential, grid, epsilon)
-    datum = prepared_datum(cfg, grid, epsilon)
+    potential = regularize_potential(cfg.potential, cfg.grid, epsilon)
+    datum = prepared_datum(cfg, epsilon)
     return simulate(datum, potential, cfg.solver), potential, datum
 
 
@@ -278,33 +282,24 @@ class UniquenessReport:
     residual: float | None
 
 
-def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
-                          perturbation: RealField | None = None) -> UniquenessReport:
+def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessReport:
     """Measure how fast an eps^m potential perturbation dies out.
 
-    For each width the potential is shifted by eps^m times a fixed
-    nonnegative bump and both runs start from the same datum.  The distance
-    is the largest L2 gap over the recorded times; the decay rate is the
-    fitted exponent q with distance ~ eps^q, ideally q = m.
+    For each width the potential is shifted by eps^m times the unit bump on
+    (site - 1, site + 1) and both runs start from the same datum.  The
+    distance is the largest L2 gap over the recorded times; the decay rate
+    is the fitted exponent q with distance ~ eps^q, ideally q = m.
     """
     if not (np.isfinite(m) and m >= 1):
         raise ValueError(f"perturbation exponent must be at least 1, got {m}")
     grid = cfg.grid
-    if perturbation is None:
-        perturbation = default_perturbation(grid, cfg.potential.site)
-    if perturbation.grid != grid:
-        raise ValueError("perturbation lives on a different grid")
-    if np.min(perturbation.values) < 0:
-        raise ValueError("perturbation must be nonnegative to keep the potential valid")
-
+    perturbation = default_perturbation(grid, cfg.potential.site)
     root_dx = np.sqrt(grid.dx)
 
     def gap(epsilon: float) -> float:
         t_base, base, datum = single_run(cfg, epsilon)
         shifted = RegularizedPotential(
-            cfg.potential, epsilon,
-            RealField(grid, base.field.values + epsilon**m * perturbation.values),
-        )
+            epsilon, RealField(grid, base.field.values + epsilon**m * perturbation.values))
         t_shift = simulate(datum, shifted, cfg.solver)
         return max(
             float(root_dx * np.linalg.norm(a.values - b.values))
@@ -314,12 +309,9 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0,
     # one width's runs at a time: both die when gap() returns
     distances = [gap(e) for e in cfg.epsilons]
 
-    if len(distances) >= 3 and all(d > 0 for d in distances):
-        slope, residual = moderateness_exponent(cfg.epsilons, distances)
-        decay_rate, res = -slope, residual
-    else:
-        decay_rate, res = None, None
-    return UniquenessReport(cfg, float(m), tuple(distances), decay_rate, res)
+    slope, residual, _ = _fit_or_none(cfg.epsilons, distances)
+    decay_rate = None if slope is None else -slope
+    return UniquenessReport(cfg, float(m), tuple(distances), decay_rate, residual)
 
 
 @dataclass(frozen=True)
@@ -350,19 +342,16 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     # whole record array alive: record nothing in between
     solver = replace(cfg.solver, record_every=10**9)
 
-    if reference == "fine":
-        fine_grid = make_grid(cfg.x_min, cfg.x_max, 4 * cfg.n)
-        fine_solver = replace(solver, dt=cfg.solver.dt / 8.0)
-        fine_potential = regularize_potential(cfg.potential, fine_grid, cfg.epsilons[0])
-        fine_final = simulate(initial_datum(fine_grid), fine_potential, fine_solver).states[-1]
-        ref_values = fine_final.values[::4]
-    else:
-        exact = regularize_potential(cfg.potential, grid, cfg.epsilons[0])
-        ref_values = simulate(initial_datum(grid), exact, solver).states[-1].values
+    fine = reference == "fine"
+    ref_grid = make_grid(cfg.x_min, cfg.x_max, 4 * cfg.n) if fine else grid
+    ref_solver = replace(solver, dt=solver.dt / 8.0) if fine else solver
+    exact = regularize_potential(cfg.potential, ref_grid, cfg.epsilons[0])
+    ref_final = simulate(initial_datum(ref_grid), exact, ref_solver).states[-1]
+    ref_values = ref_final.values[::4] if fine else ref_final.values  # on the run's nodes
 
     def error(epsilon: float) -> float:
         smoothed = regularize_potential(cfg.potential, grid, epsilon, mollify_regular=True)
-        datum = prepared_datum(cfg, grid, epsilon)
+        datum = prepared_datum(cfg, epsilon)
         final = simulate(datum, smoothed, solver).states[-1]
         return l2_norm(ComplexField(grid, final.values - ref_values))
 
@@ -382,14 +371,14 @@ class EnergyScalingReport:
     in_band: bool
 
 
-def delta_squared_energy_scaling(cfg: ExperimentConfig,
-                                 band: tuple[float, float] = (50.0, 800.0)) -> EnergyScalingReport:
+def delta_squared_energy_scaling(cfg: ExperimentConfig) -> EnergyScalingReport:
     """Largest recorded energy per width, meant for the squared-bump model.
 
-    Reports the ratio between the smallest-width and largest-width peaks and
-    whether the peaks grow monotonically as the width shrinks.  Nothing is
-    asserted here; the report just states what the discrete runs produced.
-    Any potential kind is accepted (a width-independent one gives ratio 1).
+    Reports the ratio between the smallest-width and largest-width peaks,
+    whether it lies in ENERGY_BAND, and whether the peaks grow monotonically
+    as the width shrinks.  Nothing is asserted here; the report just states
+    what the discrete runs produced.  Any potential kind is accepted (a
+    width-independent one gives ratio 1).
     """
     def peak(epsilon: float) -> float:
         trajectory, _, _ = single_run(cfg, epsilon)
@@ -398,7 +387,7 @@ def delta_squared_energy_scaling(cfg: ExperimentConfig,
     peaks = [peak(e) for e in cfg.epsilons]
     ratio = peaks[-1] / peaks[0]  # smallest width over largest width
     monotone = all(b >= a for a, b in zip(peaks, peaks[1:]))
-    in_band = band[0] <= ratio <= band[1]
+    in_band = ENERGY_BAND[0] <= ratio <= ENERGY_BAND[1]
     return EnergyScalingReport(cfg, tuple(peaks), ratio, monotone, in_band)
 
 
@@ -409,9 +398,7 @@ def delta_squared_energy_scaling(cfg: ExperimentConfig,
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):  # most cells, so tested first
         return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return str(value)
 
@@ -424,20 +411,18 @@ def write_csv(path: str, header, rows) -> None:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def write_manifest(path: str, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def manifest_payload(cfg: ExperimentConfig, command: str, files, **extra) -> dict:
+def write_manifest(out: str, cfg: ExperimentConfig, command: str, files, **extra) -> dict:
+    """Write and return out/manifest.json: the command, config digest, time and files."""
     payload = {
         "command": command,
         "config_hash": config_hash(cfg),
         "created": datetime.now(timezone.utc).isoformat(),
         "files": sorted(files),
+        **extra,
     }
-    payload.update(extra)
+    with open(os.path.join(out, "manifest.json"), "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return payload
 
 
@@ -458,34 +443,34 @@ def energy_rows(trajectory: Trajectory):
 # Figure data
 
 
-def _snapshot(trajectory: Trajectory, t: float, tol: float = 1e-9):
-    hits = np.nonzero(np.abs(trajectory.times - t) <= tol)[0]
-    return int(hits[0]) if hits.size else None
-
-
 def _density_snapshots(cfg: ExperimentConfig, epsilon: float, times, out: str,
                        name: str) -> list[str]:
     """Run cfg at one width and dump one density table per requested time.
 
-    A time that does not land on a recorded step (custom dt) is reached from
-    the last full step before it by one shortened step, as a run ending
-    exactly there would take it.
+    t_end is the run's last row; an earlier time off the step grid (custom dt)
+    is one shortened step from the row step_plan counts, as a run ending there.
     """
-    dt = cfg.solver.dt
     trajectory, potential, _ = single_run(cfg, epsilon)
     files = []
     for t in times:
-        idx = _snapshot(trajectory, t)
-        if idx is None:
-            steps = int(np.floor(t / dt + 1e-9))  # simulate's count of full steps
-            remainder = t - steps * dt
+        n_full, remainder = step_plan(t, cfg.solver.dt)
+        state = trajectory.states[-1 if t == cfg.solver.t_end else n_full]
+        if remainder > 0.0 and t < cfg.solver.t_end:
             last = replace(cfg.solver, dt=remainder, t_end=remainder)
-            state = simulate(trajectory.states[steps], potential, last).states[-1]
-        else:
-            state = trajectory.states[idx]
+            state = simulate(state, potential, last).states[-1]
         files.append(name.format(t=t, eps=epsilon))
         write_csv(os.path.join(out, files[-1]), DENSITY_HEADER, density_rows(state))
     return files
+
+
+def check_figure(cfg: ExperimentConfig, figure: str) -> None:
+    """Raise ValueError unless figure is known and each density run is a step long."""
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    for _, _, times, _ in FIGURE_RUNS[figure][0]:
+        if max(times) < cfg.solver.dt:
+            raise ValueError(f"{figure}: last snapshot time {max(times):g} "
+                             f"is shorter than dt {cfg.solver.dt:g}")
 
 
 def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
@@ -495,8 +480,7 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
     the grid, solver backend, step and datum smoothing come from cfg.  Every
     run records every step.
     """
-    if figure not in FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    check_figure(cfg, figure)
     os.makedirs(out, exist_ok=True)
     dense = replace(cfg.solver, record_every=1)
     densities, energies = FIGURE_RUNS[figure]
@@ -509,11 +493,9 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
     for kind, epsilons in energies:
         run_cfg = replace(cfg, potential=PotentialSpec(kind), solver=dense)
         for epsilon in epsilons:
-            files.append(f"energy_eps{epsilon:g}.csv")
+            files.append(ENERGY_NAME.format(eps=epsilon))
             # bind no name to the run, so it dies before the next one starts
             write_csv(os.path.join(out, files[-1]), ENERGY_HEADER,
                       energy_rows(single_run(run_cfg, epsilon)[0]))
 
-    payload = manifest_payload(cfg, f"figures:{figure}", files, figure=figure)
-    write_manifest(os.path.join(out, "manifest.json"), payload)
-    return payload
+    return write_manifest(out, cfg, f"figures:{figure}", files, figure=figure)

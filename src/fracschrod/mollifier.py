@@ -3,7 +3,8 @@
 The bump phi(x) = c * exp(1/(x^2 - 1)) on |x| < 1 (zero outside) is scaled to
 unit mass; the net phi_eps(x) = phi(x/eps)/eps concentrates it while keeping
 the mass.  Delta-like potentials are modeled by weighted scaled bumps, the
-squared-delta kind by the square of the scaled bump.
+squared-delta kind by the square of the scaled bump.  A RegularizedPotential
+is only a width and its samples, not the PotentialSpec that made them.
 """
 
 from dataclasses import dataclass
@@ -128,7 +129,6 @@ class PotentialSpec:
 class RegularizedPotential:
     """A potential sampled on a grid at a fixed regularization width."""
 
-    spec: PotentialSpec
     epsilon: float
     field: RealField
 
@@ -155,16 +155,14 @@ def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float,
         values = np.ones(grid.n)
     elif spec.kind == "harmonic_shifted":
         values = (x - HARMONIC_CENTER) ** 2
-    elif spec.kind == "delta":
+    else:  # the singular kinds: the weighted scaled bump, or its square
         _check_support(grid, spec.site, epsilon)
-        values = spec.weight * friedrichs_mollifier((x - spec.site) / epsilon) / epsilon
-    else:  # delta_squared
-        _check_support(grid, spec.site, epsilon)
-        scaled = friedrichs_mollifier((x - spec.site) / epsilon) / epsilon
-        values = spec.weight * scaled**2
+        phi = friedrichs_mollifier((x - spec.site) / epsilon)
+        values = (spec.weight * phi / epsilon if spec.kind == "delta"
+                  else spec.weight * (phi / epsilon) ** 2)
     if mollify_regular and spec.kind in REGULAR_KINDS:
         values = mollify_samples(values, grid, epsilon)
-    return RegularizedPotential(spec, epsilon, RealField(grid, values))
+    return RegularizedPotential(epsilon, RealField(grid, values))
 
 
 def sup_norm(field) -> float:

@@ -10,7 +10,8 @@ Two backends:
   order s.
 
 Both are unconditionally stable and preserve the discrete L2 norm up to
-roundoff.  A run lands exactly on t_end by shortening the last step.
+roundoff.  A run lands exactly on t_end by shortening the last step, as
+step_plan lays out.
 
 A run's recorded states are the rows of one read-only (n_records, n) array,
 allocated before the first step; every step writes straight into the next
@@ -40,6 +41,7 @@ __all__ = [
     "solve_tridiagonal",
     "cn_step",
     "strang_step",
+    "step_plan",
     "simulate",
 ]
 
@@ -80,8 +82,8 @@ class SolverConfig:
             raise ValueError(f"dt must be a positive real, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ValueError(f"t_end must be finite and at least dt, got {self.t_end}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
         if self.backend == "crank_nicolson":
             if self.order.s != 1.0:
                 raise ValueError(
@@ -299,6 +301,16 @@ def strang_step(u: ComplexField, p: RegularizedPotential, dt: float,
     return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
 
 
+def step_plan(t_end: float, dt: float) -> tuple[int, float]:
+    """Full steps of length dt, and the shortened last step (0.0 if none), to t_end.
+
+    A t_end within a billionth of a step of the step grid counts as on it.
+    """
+    n_full = int(np.floor(t_end / dt + 1e-9))
+    remainder = t_end - n_full * dt
+    return n_full, remainder if remainder >= dt * 1e-9 else 0.0
+
+
 def simulate(u0: ComplexField, potential: RegularizedPotential,
              config: SolverConfig) -> Trajectory:
     """March u0 to config.t_end and record its states.
@@ -317,10 +329,7 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     grid = u0.grid
     p_values = potential.field.values
     dt = config.dt
-    n_full = int(np.floor(config.t_end / dt + 1e-9))
-    remainder = config.t_end - n_full * dt
-    if remainder < dt * 1e-9:
-        remainder = 0.0
+    n_full, remainder = step_plan(config.t_end, dt)
 
     if config.backend == "crank_nicolson":
         make_stepper = lambda h: _CrankNicolson(grid, p_values, h)

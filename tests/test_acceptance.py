@@ -215,7 +215,7 @@ def test_criterion_09_energy_scaling_band():
     cfg = ExperimentConfig(potential=PotentialSpec("delta_squared"),
                            epsilons=(0.5, 0.25, 0.15, 0.05),
                            solver=SolverConfig(dt=DT, t_end=0.2996))
-    report = delta_squared_energy_scaling(cfg, band=(50.0, 800.0))
+    report = delta_squared_energy_scaling(cfg)
     ok = report.in_band and report.monotone_nondecreasing
     verdict(9, ok,
             f"peak-energy ratio smallest/largest width {report.ratio:.6f}"

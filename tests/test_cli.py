@@ -11,8 +11,8 @@ import fracschrod.cli as cli
 from fracschrod.cli import (
     BACKEND_MAP,
     COMMANDS,
-    CONFIG_KEYS,
     POTENTIAL_MAP,
+    SETTINGS,
     build_parser,
     main,
     read_config_file,
@@ -118,11 +118,11 @@ class TestSimulate:
 
 
 def test_flags_and_config_keys_agree():
-    # resolve_settings reads each CONFIG_KEYS entry from the flag's dest
+    # resolve_settings reads each SETTINGS key from the flag's dest
     parser = build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
-    dests = {key.replace("-", "_") for key in CONFIG_KEYS}
+    dests = {key.replace("-", "_") for key in SETTINGS}
     seen = set()
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
@@ -335,6 +335,17 @@ class TestOtherCommands:
     def test_figures_requires_figure_flag(self, tmp_path):
         rc = main(["figures", "--out", str(tmp_path)] + FAST)
         assert rc == 2
+
+    @pytest.mark.parametrize("figure", ["all", "fig5"])
+    def test_figures_dt_longer_than_a_figure_writes_nothing(self, tmp_path, capsys, figure):
+        # fig1..fig4 fit a step of 0.07; fig5's snapshots end at 0.0642
+        out = tmp_path / "o"
+        rc = main(["figures", "--out", str(out), "--figure", figure, "--nx", "256",
+                   "--dt", "0.07"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: fig5: last snapshot time 0.0642 is shorter than dt 0.07\n"
+        assert not out.exists()
 
     def test_figures_single(self, tmp_path):
         rc = main(["figures", "--out", str(tmp_path), "--figure", "fig3",

@@ -50,6 +50,15 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, n)
 
+    def test_rejects_fractional_n(self):
+        # truncating would build 1024 nodes for a config that records n = 1024.7
+        with pytest.raises(ValueError, match="whole number"):
+            make_grid(0.0, 10.0, 1024.7)
+
+    def test_integral_float_n_is_accepted(self):
+        g = make_grid(0.0, 10.0, 1024.0)
+        assert g.n == 1024 and isinstance(g.n, int)
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, 4)

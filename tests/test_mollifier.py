@@ -213,14 +213,13 @@ class TestRegularizedPotential:
     def test_rejects_negative_samples(self):
         g = make_grid(0.0, 10.0, 64)
         with pytest.raises(ValueError):
-            RegularizedPotential(PotentialSpec("zero"), 0.3,
-                                 RealField(g, np.full(64, -1.0)))
+            RegularizedPotential(0.3, RealField(g, np.full(64, -1.0)))
 
     def test_rejects_bad_width(self):
         g = make_grid(0.0, 10.0, 64)
         field = RealField(g, np.zeros(64))
         with pytest.raises(ValueError):
-            RegularizedPotential(PotentialSpec("zero"), 1.2, field)
+            RegularizedPotential(1.2, field)
 
 
 class TestModeratenessExponent:

@@ -18,6 +18,7 @@ from fracschrod.solver import (
     initial_datum,
     simulate,
     solve_tridiagonal,
+    step_plan,
     strang_step,
 )
 
@@ -63,6 +64,8 @@ class TestSolverConfig:
     def test_rejects_bad_record_every(self):
         with pytest.raises(ValueError):
             SolverConfig(record_every=0)
+        with pytest.raises(ValueError):
+            SolverConfig(record_every=2.5)
 
     def test_cn_requires_classical_order(self):
         with pytest.raises(ValueError):
@@ -298,6 +301,31 @@ class TestSplitStepKernel:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+class TestStepPlan:
+    def test_time_on_the_grid(self):
+        assert step_plan(0.2996, 0.0107) == (28, 0.0)
+
+    def test_time_off_the_grid(self):
+        n_full, remainder = step_plan(0.2996, 0.01)
+        assert n_full == 29
+        assert remainder == 0.2996 - 29 * 0.01
+        assert remainder == pytest.approx(0.0096)
+
+    def test_time_shorter_than_a_step(self):
+        assert step_plan(0.0214, 0.05) == (0, 0.0214)
+
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12])
+    def test_time_within_tolerance_of_a_step(self, offset):
+        assert step_plan(3 * 0.01 + offset, 0.01) == (3, 0.0)
+
+    @pytest.mark.parametrize("t_end", [0.2996, 0.05, 0.0535])
+    def test_simulate_takes_the_planned_steps(self, t_end):
+        n_full, remainder = step_plan(t_end, DT)
+        tr = simulate(initial_datum(GRID), potential("zero"), SolverConfig(dt=DT, t_end=t_end))
+        assert len(tr.times) - 1 == n_full + (remainder > 0.0)
+        assert tr.times[-1] == t_end
 
 
 class TestSimulate:

@@ -53,6 +53,9 @@ INVOCATIONS = [
     ["simulate", "--config", "m.cfg"],
     ["simulate", "--m"],
     ["sweep", "--config", "mollify.cfg", "--mollify-data", "no"],
+    # snapshots before the first full step; a step longer than fig5's snapshots
+    ["figures", "--figure", "fig5", "--dt", "0.05"],
+    ["figures", "--figure", "all", "--dt", "0.07"],
 ]
 CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n"}
 
