@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 from .harness import (
     DEFAULT_EPSILONS,
+    POTENTIAL_TAGS,
     ExperimentConfig,
     check_figure,
     consistency_experiment,
@@ -49,13 +50,7 @@ from .operators import FractionalOrder
 from .solver import NumericalAbort, SolverConfig
 
 BACKEND_MAP = {"cn": "crank_nicolson", "spectral": "spectral_strang"}
-POTENTIAL_MAP = {
-    "zero": "zero",
-    "one": "constant_one",
-    "harmonic": "harmonic_shifted",
-    "delta": "delta",
-    "delta2": "delta_squared",
-}
+POTENTIAL_MAP = {tag: kind for kind, tag in POTENTIAL_TAGS.items()}
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -112,7 +107,7 @@ def cmd_simulate(cfg: ExperimentConfig, settings: dict, out: str):
     if len(cfg.epsilons) != 1:
         raise ValueError("simulate runs a single width; pass exactly one --eps value")
     epsilon = cfg.epsilons[0]
-    trajectory, _, _ = single_run(cfg, epsilon)
+    trajectory = single_run(cfg, epsilon)
     files = [
         _table(out, DENSITY_NAME.format(t=cfg.solver.t_end, eps=epsilon),
                DENSITY_HEADER, density_rows(trajectory.states[-1])),
@@ -140,19 +135,21 @@ def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
 
 
 def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):
-    report = uniqueness_experiment(cfg, m=settings["m"])
+    m = settings["m"]
+    report = uniqueness_experiment(cfg, m=m)
     rows = zip(cfg.epsilons, report.distances)
     return ([_table(out, "uniqueness.csv", ("epsilon", "distance"), rows)],
-            {"m": report.m, "decay_rate": report.decay_rate, "residual": report.residual},
-            f"uniqueness: m={report.m:g} fitted decay rate {_or_na(report.decay_rate)}")
+            {"m": m, "decay_rate": report.decay_rate, "residual": report.residual},
+            f"uniqueness: m={m:g} fitted decay rate {_or_na(report.decay_rate)}")
 
 
 def cmd_consistency(cfg: ExperimentConfig, settings: dict, out: str):
-    report = consistency_experiment(cfg, reference=settings["reference"])
+    reference = settings["reference"]
+    report = consistency_experiment(cfg, reference=reference)
     rows = zip(cfg.epsilons, report.errors)
     trend = "decreasing" if report.strictly_decreasing else "not monotone"
     return ([_table(out, "consistency.csv", ("epsilon", "error"), rows)],
-            {"reference": report.reference, "strictly_decreasing": report.strictly_decreasing},
+            {"reference": reference, "strictly_decreasing": report.strictly_decreasing},
             f"consistency: errors {trend}; smallest {min(report.errors):.3e}")
 
 
@@ -193,6 +190,7 @@ COMMANDS = {
     "uniqueness": Command(cmd_uniqueness, {"eps": DEFAULT_EPSILONS, "t-end": 0.214}),
     "consistency": Command(cmd_consistency, {"eps": (0.8, 0.4, 0.2, 0.1), "t-end": 0.214,
                                              "potential": "harmonic", "backend": "spectral"}),
+    # eps only lets the config build; FIGURE_RUNS fixes each figure's widths
     "figures": Command(cmd_figures, {"eps": (0.05,), "t-end": 0.2996}),
     "energy-scaling": Command(cmd_energy_scaling, {"eps": DEFAULT_EPSILONS, "t-end": 0.2996,
                                                    "potential": "delta2"}),
@@ -206,13 +204,16 @@ class Setting(NamedTuple):
     help: str | None = None
 
 
+# figures runs the potentials and widths FIGURE_RUNS fixes, so it takes neither
+WIDTH_COMMANDS = tuple(name for name in COMMANDS if name != "figures")
+
 # every setting, in flag order; a config file may set those its command
 # takes, spelled as the long flag
 SETTINGS = {
     "out": Setting(str, "fracschrod_out", help="output directory"),
     "backend": Setting(_Choice(sorted(BACKEND_MAP)), "cn"),
-    "eps": Setting(_widths, help="comma separated list of widths"),
-    "potential": Setting(_Choice(sorted(POTENTIAL_MAP)), "delta"),
+    "eps": Setting(_widths, None, WIDTH_COMMANDS, "comma separated list of widths"),
+    "potential": Setting(_Choice(sorted(POTENTIAL_MAP)), "delta", WIDTH_COMMANDS),
     "s": Setting(float, 1.0, help="order of the fractional Laplacian"),
     "dt": Setting(float, 0.0107, help="time step"),
     "nx": Setting(int, 1024, help="number of grid nodes (power of two)"),

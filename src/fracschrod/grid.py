@@ -67,17 +67,10 @@ class Grid:
         return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
     def wavenumber_power(self, s: float) -> np.ndarray:
-        """|xi|**s on the wavenumber ladder, computed once per order s; read-only."""
+        """|xi|**s on the wavenumber ladder, a fresh array per call."""
         if not np.isfinite(s) or s < 0:
             raise ValueError(f"order must be a finite nonnegative real, got {s}")
-        powers = self._wavenumber_powers
-        if s not in powers:
-            powers[s] = _readonly(np.abs(self.wavenumbers) ** s)
-        return powers[s]
-
-    @cached_property
-    def _wavenumber_powers(self) -> dict[float, np.ndarray]:
-        return {}
+        return np.abs(self.wavenumbers) ** s
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 * delta_squared_energy_scaling: track the largest energy per width for the
   squared-bump model.
 
-single_run builds and runs one width: it samples the potential, prepares
-the datum and calls simulate, whose aborts name the width.  Every driver
-but consistency's (the only one that smooths a regular potential) runs its
-widths through it, one at a time, and keeps only what it reports (a record,
-a gap, a peak, a file name), so no more than one width's trajectories are
-alive at once.  The figures are one table, FIGURE_RUNS, and their snapshot
-times follow simulate's own step plan (solver.step_plan).
+single_run builds one width's run and returns its trajectory, which holds
+the potential samples and, as states[0], the datum; simulate's aborts
+name the width.  Every width runs through it, one at a time, except
+consistency's smoothed runs and uniqueness's shifted run, which call
+simulate.  Each driver keeps only what it reports (a record, a gap, a
+peak, a file name), so at most one width's runs are alive at once.  The
+figures are one table, FIGURE_RUNS, and their snapshot times follow
+simulate's own step plan (solver.step_plan).
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
@@ -39,6 +40,7 @@ import numpy as np
 
 from .grid import ComplexField, Grid, RealField, l2_norm, make_grid
 from .mollifier import (
+    REGULAR_KINDS,
     PotentialSpec,
     RegularizedPotential,
     bump,
@@ -90,7 +92,9 @@ FIG3_EPSILONS = (0.035, 0.08, 0.3, 0.8)
 FIG4_EPSILONS = (0.05, 0.11, 0.49)
 FIG5_TIMES = (0.0, 0.0214, 0.0428, 0.0642)
 FIG5_ENERGY_EPSILONS = (0.05, 0.15, 0.25, 0.5)
-REGULAR_TAGS = {"zero": "zero", "constant_one": "one", "harmonic_shifted": "harmonic"}
+# each potential kind's short name, in CLI flags and fig2's file names
+POTENTIAL_TAGS = {"zero": "zero", "constant_one": "one", "harmonic_shifted": "harmonic",
+                  "delta": "delta", "delta_squared": "delta2"}
 DENSITY_NAME = "density_t{t:.4f}_eps{eps:g}.csv"
 ENERGY_NAME = "energy_eps{eps:g}.csv"
 
@@ -98,8 +102,8 @@ ENERGY_NAME = "energy_eps{eps:g}.csv"
 # name template) and energy tables (potential kind, widths), in run order
 FIGURE_RUNS = {
     "fig1": ([("delta", (0.05,), FIG1_TIMES, DENSITY_NAME)], []),
-    "fig2": ([(kind, (0.05,), FIG2_TIMES, f"density_p{tag}_t{{t:.4f}}.csv")
-              for kind, tag in REGULAR_TAGS.items()], []),
+    "fig2": ([(kind, (0.05,), FIG2_TIMES, f"density_p{POTENTIAL_TAGS[kind]}_t{{t:.4f}}.csv")
+              for kind in REGULAR_KINDS], []),
     "fig3": ([("delta", FIG3_EPSILONS, (FIG3_TIME,), DENSITY_NAME)], []),
     "fig4": ([], [("delta", FIG4_EPSILONS)]),
     "fig5": ([("delta_squared", (0.05,), FIG5_TIMES, DENSITY_NAME)],
@@ -130,7 +134,7 @@ class ExperimentConfig:
         if len(set(eps)) != len(eps):
             raise ValueError("widths must be distinct")
         object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
-        self.grid  # fail fast on a bad grid
+        object.__setattr__(self, "n", self.grid.n)  # fail fast on a bad grid; n is an int
 
     @cached_property
     def grid(self) -> Grid:
@@ -168,11 +172,10 @@ def prepared_datum(cfg: ExperimentConfig, epsilon: float) -> ComplexField:
     return u0
 
 
-def single_run(cfg: ExperimentConfig, epsilon: float):
-    """One solve at one width; returns (trajectory, potential, datum)."""
+def single_run(cfg: ExperimentConfig, epsilon: float) -> Trajectory:
+    """One solve at one width; its trajectory holds the potential and, as states[0], the datum."""
     potential = regularize_potential(cfg.potential, cfg.grid, epsilon)
-    datum = prepared_datum(cfg, epsilon)
-    return simulate(datum, potential, cfg.solver), potential, datum
+    return simulate(prepared_datum(cfg, epsilon), potential, cfg.solver)
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,6 @@ class SweepReport:
     silently accepted; flagged slopes should not be quoted as rates.
     """
 
-    config: ExperimentConfig
     records: tuple[SweepRecord, ...]
     potential_moderateness_n: float | None
     potential_residual: float | None
@@ -224,14 +226,14 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
     """
 
     def one(epsilon: float) -> SweepRecord:
-        trajectory, potential, _ = single_run(cfg, epsilon)
+        trajectory = single_run(cfg, epsilon)
         final = trajectory.states[-1]
         density = position_density(final)
         floor = MAXIMA_FLOOR_FRACTION * float(np.max(density.values))
         site = cfg.potential.site
         return SweepRecord(
             epsilon=epsilon,
-            sup_norm_p=sup_norm(potential.field),
+            sup_norm_p=sup_norm(trajectory.potential),
             final_mass=float(trajectory.mass[-1]),
             final_energy=float(trajectory.energy[-1]),
             # composite_norm of the last and of every state: the same
@@ -248,7 +250,6 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
     p_slope, p_res, p_flag = _fit_or_none(cfg.epsilons, [r.sup_norm_p for r in records])
     u_slope, u_res, u_flag = _fit_or_none(cfg.epsilons, [r.sup_composite_norm for r in records])
     return SweepReport(
-        config=cfg,
         records=records,
         potential_moderateness_n=p_slope,
         potential_residual=p_res,
@@ -275,8 +276,7 @@ def default_perturbation(grid: Grid, center: float) -> RealField:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    config: ExperimentConfig
-    m: float
+    config: ExperimentConfig  # perfbench pairs config.epsilons with the distances
     distances: tuple[float, ...]
     decay_rate: float | None
     residual: float | None
@@ -297,10 +297,10 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
     root_dx = np.sqrt(grid.dx)
 
     def gap(epsilon: float) -> float:
-        t_base, base, datum = single_run(cfg, epsilon)
+        t_base = single_run(cfg, epsilon)
         shifted = RegularizedPotential(
-            epsilon, RealField(grid, base.field.values + epsilon**m * perturbation.values))
-        t_shift = simulate(datum, shifted, cfg.solver)
+            epsilon, RealField(grid, t_base.potential.values + epsilon**m * perturbation.values))
+        t_shift = simulate(t_base.states[0], shifted, cfg.solver)
         return max(
             float(root_dx * np.linalg.norm(a.values - b.values))
             for a, b in zip(t_base.states, t_shift.states)
@@ -311,13 +311,11 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
 
     slope, residual, _ = _fit_or_none(cfg.epsilons, distances)
     decay_rate = None if slope is None else -slope
-    return UniquenessReport(cfg, float(m), tuple(distances), decay_rate, residual)
+    return UniquenessReport(cfg, tuple(distances), decay_rate, residual)
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    config: ExperimentConfig
-    reference: str
     errors: tuple[float, ...]
     strictly_decreasing: bool
 
@@ -359,12 +357,11 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     errors = [error(e) for e in cfg.epsilons]
 
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    return ConsistencyReport(cfg, reference, tuple(errors), decreasing)
+    return ConsistencyReport(tuple(errors), decreasing)
 
 
 @dataclass(frozen=True)
 class EnergyScalingReport:
-    config: ExperimentConfig
     max_energies: tuple[float, ...]
     ratio: float
     monotone_nondecreasing: bool
@@ -381,14 +378,13 @@ def delta_squared_energy_scaling(cfg: ExperimentConfig) -> EnergyScalingReport:
     width-independent one gives ratio 1).
     """
     def peak(epsilon: float) -> float:
-        trajectory, _, _ = single_run(cfg, epsilon)
-        return float(np.max(trajectory.energy))
+        return float(np.max(single_run(cfg, epsilon).energy))
 
     peaks = [peak(e) for e in cfg.epsilons]
     ratio = peaks[-1] / peaks[0]  # smallest width over largest width
     monotone = all(b >= a for a, b in zip(peaks, peaks[1:]))
     in_band = ENERGY_BAND[0] <= ratio <= ENERGY_BAND[1]
-    return EnergyScalingReport(cfg, tuple(peaks), ratio, monotone, in_band)
+    return EnergyScalingReport(tuple(peaks), ratio, monotone, in_band)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +446,8 @@ def _density_snapshots(cfg: ExperimentConfig, epsilon: float, times, out: str,
     t_end is the run's last row; an earlier time off the step grid (custom dt)
     is one shortened step from the row step_plan counts, as a run ending there.
     """
-    trajectory, potential, _ = single_run(cfg, epsilon)
+    trajectory = single_run(cfg, epsilon)
+    potential = RegularizedPotential(epsilon, trajectory.potential)
     files = []
     for t in times:
         n_full, remainder = step_plan(t, cfg.solver.dt)
@@ -496,6 +493,6 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
             files.append(ENERGY_NAME.format(eps=epsilon))
             # bind no name to the run, so it dies before the next one starts
             write_csv(os.path.join(out, files[-1]), ENERGY_HEADER,
-                      energy_rows(single_run(run_cfg, epsilon)[0]))
+                      energy_rows(single_run(run_cfg, epsilon)))
 
     return write_manifest(out, cfg, f"figures:{figure}", files, figure=figure)

@@ -238,6 +238,8 @@ class TestConfigFile:
         ("simulate", "m = 3"),
         ("sweep", "figure = fig1"),
         ("uniqueness", "reference = matched"),
+        ("figures", "eps = 0.3"),
+        ("figures", "potential = zero"),
     ])
     def test_rejects_setting_of_another_command(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "run.cfg"
@@ -345,6 +347,20 @@ class TestOtherCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: fig5: last snapshot time 0.0642 is shorter than dt 0.07\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--eps", "0.3"], ["--potential", "zero"]],
+                             ids=["eps", "potential"])
+    def test_figures_takes_no_potential_or_widths(self, tmp_path, flag):
+        # FIGURE_RUNS fixes both, so a value would only change the config hash
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = subparsers.choices["figures"]._option_string_actions
+        assert flag[0] not in options
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            main(["figures", "--out", str(out), "--figure", "fig4"] + flag)
+        assert err.value.code == 2
         assert not out.exists()
 
     def test_figures_single(self, tmp_path):

@@ -34,7 +34,7 @@ from fracschrod.mollifier import (
 )
 from fracschrod.observables import composite_norm
 from fracschrod.operators import FractionalOrder
-from fracschrod.solver import NumericalAbort, SolverConfig, initial_datum, simulate
+from fracschrod.solver import NumericalAbort, SolverConfig, Trajectory, initial_datum, simulate
 
 DT = 0.0107
 
@@ -99,6 +99,11 @@ class TestConfigHash:
         assert config_hash(quick_config(n=512)) != base
         assert config_hash(quick_config(t_end=3 * DT)) != base
 
+    def test_whole_float_n_hashes_as_int(self):
+        cfg = quick_config(n=1024.0)
+        assert type(cfg.n) is int
+        assert config_hash(cfg) == config_hash(quick_config(n=1024))
+
     def test_is_hex_digest(self):
         digest = config_hash(quick_config())
         assert len(digest) == 64
@@ -107,18 +112,22 @@ class TestConfigHash:
 
 class TestSingleRun:
     def test_returns_trajectory_and_potential(self):
-        traj, pot, datum = single_run(quick_config(), 0.2)
-        assert pot.epsilon == 0.2
+        cfg = quick_config()
+        traj = single_run(cfg, 0.2)
+        assert isinstance(traj, Trajectory)
         assert traj.times[0] == 0.0
-        assert np.array_equal(traj.states[0].values, datum.values)
+        assert np.array_equal(traj.states[0].values, prepared_datum(cfg, 0.2).values)
+        potential = regularize_potential(cfg.potential, cfg.grid, 0.2)
+        assert traj.potential.grid == cfg.grid
+        assert np.array_equal(traj.potential.values, potential.field.values)
 
     def test_rejects_width_out_of_range(self):
         with pytest.raises(ValueError):
             single_run(quick_config(), 1.5)
 
     def test_mollify_data_changes_datum(self):
-        plain = single_run(quick_config(), 0.4)[2]
-        smoothed = single_run(quick_config(mollify_data=True), 0.4)[2]
+        plain = single_run(quick_config(), 0.4).states[0]
+        smoothed = single_run(quick_config(mollify_data=True), 0.4).states[0]
         assert np.max(np.abs(plain.values - smoothed.values)) > 1e-6
 
 
@@ -152,7 +161,7 @@ class TestEpsilonSweep:
         cfg = fractional_config()
         report = epsilon_sweep(cfg)
         for rec in report.records:
-            tr, _, _ = single_run(cfg, rec.epsilon)
+            tr = single_run(cfg, rec.epsilon)
             assert rec.sup_composite_norm == max(
                 composite_norm(u, cfg.solver.order) for u in tr.states)
             assert rec.final_composite_norm == composite_norm(tr.states[-1], cfg.solver.order)
@@ -303,7 +312,7 @@ class TestObservablesOnDemand:
         assert len(calls) == len(cfg.epsilons) == 3
 
     def test_repeated_reads_compute_once(self, calls):
-        tr, _, _ = single_run(fractional_config(), 0.1)
+        tr = single_run(fractional_config(), 0.1)
         for _ in range(2):
             parts = (tr.mass, tr.hs_part, tr.potential_part, tr.energy)
             assert all(len(a) == len(tr.times) for a in parts)

@@ -7,10 +7,11 @@ Usage:
 Each invocation runs in a fresh ``python -m fracschrod`` process with
 ``PYTHONPATH`` set to this tree's ``src``, ``cwd=OUT_DIR`` and a relative
 ``--out``, so the printout names no absolute path.  The printout gives each
-invocation's exit code and stdout, then one ``sha256  path`` line per output
-file, sorted by path.  A manifest is hashed without its ``created``
-timestamp.  CSV output is byte-deterministic, so two trees compute the same
-tables exactly when the printouts of this script run from each tree agree:
+invocation's exit code, stdout (lines marked ``  ``) and stderr (lines
+marked ``! ``), then one ``sha256  path`` line per output file, sorted by
+path.  A manifest is hashed without its ``created`` timestamp.  CSV output
+is byte-deterministic, so two trees compute the same tables exactly when
+the printouts of this script run from each tree agree:
 
     python A/tools/cli_oracle.py /tmp/a > a.txt
     python B/tools/cli_oracle.py /tmp/b > b.txt
@@ -56,8 +57,12 @@ INVOCATIONS = [
     # snapshots before the first full step; a step longer than fig5's snapshots
     ["figures", "--figure", "fig5", "--dt", "0.05"],
     ["figures", "--figure", "all", "--dt", "0.07"],
+    # widths that figures does not take, as a flag and as a config-file line
+    ["figures", "--figure", "fig4", "--eps", "0.3"],
+    ["figures", "--figure", "fig4", "--config", "eps.cfg"],
 ]
-CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n"}
+CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n",
+                "eps.cfg": "eps = 0.3\n"}
 
 
 def digest(path: Path) -> str:
@@ -89,6 +94,8 @@ def main(argv: list[str]) -> int:
         print(f"exit {proc.returncode}")
         for line in proc.stdout.splitlines():
             print(f"  {line}")
+        for line in proc.stderr.splitlines():
+            print(f"! {line}")
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(root).as_posix()}")
     return 0
