@@ -3,20 +3,20 @@
 Subcommands: simulate, sweep, uniqueness, consistency, figures,
 energy-scaling.  Settings resolve in three layers: built-in defaults, then a
 flat key=value config file (--config), then explicit flags.  One table,
-SETTINGS, gives each setting its parser, default, help and the commands
-that take it, as a flag or as a config-file line; flag values and
-config-file lines go through the same parser, so an invalid value is
-reported the same way from either.  Flags are never abbreviated.  One
-table, COMMANDS, gives each subcommand its runner and the defaults it sets
-over the settings' own.
+SETTINGS, gives each setting its parser, default (the paper's numbers are
+the library's own), help and the commands that take it, as a flag or as a
+config-file line; flag values and config-file lines go through the same
+parser, so an invalid value is reported the same way from either.  Flags
+are never abbreviated.  One table, COMMANDS, gives each subcommand its
+runner and the defaults it sets over the settings' own.
 
 Each command writes its tables and returns its file names, the headline
 numbers for the manifest and a one-line summary; main writes manifest.json
 and prints the summary.  Exit codes:
 
 * 0: success
-* 2: invalid settings (bad flag or config-file values, inconsistent
-  backend/order, ...)
+* 2: a malformed command line (unknown flag, missing value, ...) or invalid
+  settings (bad flag or config-file values, inconsistent backend/order, ...)
 * 3: a run produced a non-finite state (the message names its width)
 * 4: file system trouble (unreadable config, unwritable output, ...)
 """
@@ -29,7 +29,6 @@ import sys
 from typing import Callable, NamedTuple
 
 from .harness import (
-    DEFAULT_EPSILONS,
     POTENTIAL_TAGS,
     ExperimentConfig,
     check_figure,
@@ -185,15 +184,14 @@ class Command(NamedTuple):
 
 # every subcommand, in the order --help lists them
 COMMANDS = {
-    "simulate": Command(cmd_simulate, {"eps": (0.05,), "t-end": 0.2996}),
-    "sweep": Command(cmd_sweep, {"eps": DEFAULT_EPSILONS, "t-end": 0.214}),
-    "uniqueness": Command(cmd_uniqueness, {"eps": DEFAULT_EPSILONS, "t-end": 0.214}),
+    "simulate": Command(cmd_simulate, {"eps": (0.05,)}),
+    "sweep": Command(cmd_sweep, {"t-end": 0.214}),
+    "uniqueness": Command(cmd_uniqueness, {"t-end": 0.214}),
     "consistency": Command(cmd_consistency, {"eps": (0.8, 0.4, 0.2, 0.1), "t-end": 0.214,
                                              "potential": "harmonic", "backend": "spectral"}),
-    # eps only lets the config build; FIGURE_RUNS fixes each figure's widths
-    "figures": Command(cmd_figures, {"eps": (0.05,), "t-end": 0.2996}),
-    "energy-scaling": Command(cmd_energy_scaling, {"eps": DEFAULT_EPSILONS, "t-end": 0.2996,
-                                                   "potential": "delta2"}),
+    # eps only keeps default figure manifests on their hash; FIGURE_RUNS fixes the widths
+    "figures": Command(cmd_figures, {"eps": (0.05,)}),
+    "energy-scaling": Command(cmd_energy_scaling, {"potential": "delta2"}),
 }
 
 
@@ -212,14 +210,17 @@ WIDTH_COMMANDS = tuple(name for name in COMMANDS if name != "figures")
 SETTINGS = {
     "out": Setting(str, "fracschrod_out", help="output directory"),
     "backend": Setting(_Choice(sorted(BACKEND_MAP)), "cn"),
-    "eps": Setting(_widths, None, WIDTH_COMMANDS, "comma separated list of widths"),
+    "eps": Setting(_widths, ExperimentConfig.epsilons, WIDTH_COMMANDS,
+                   "comma separated list of widths"),
     "potential": Setting(_Choice(sorted(POTENTIAL_MAP)), "delta", WIDTH_COMMANDS),
-    "s": Setting(float, 1.0, help="order of the fractional Laplacian"),
-    "dt": Setting(float, 0.0107, help="time step"),
-    "nx": Setting(int, 1024, help="number of grid nodes (power of two)"),
-    "domain": Setting(_domain, (0.0, 10.0), help="domain endpoints a,b"),
-    "mollify-data": Setting(_boolean, False, help="smooth the initial datum at each width"),
-    "t-end": Setting(float, help="final time"),
+    "s": Setting(float, SolverConfig.order.s, help="order of the fractional Laplacian"),
+    "dt": Setting(float, SolverConfig.dt, help="time step"),
+    "nx": Setting(int, ExperimentConfig.n, help="number of grid nodes (power of two)"),
+    "domain": Setting(_domain, (ExperimentConfig.x_min, ExperimentConfig.x_max),
+                      help="domain endpoints a,b"),
+    "mollify-data": Setting(_boolean, ExperimentConfig.mollify_data,
+                            help="smooth the initial datum at each width"),
+    "t-end": Setting(float, SolverConfig.t_end, help="final time"),
     "m": Setting(float, 2.0, ("uniqueness",), "perturbation exponent"),
     "figure": Setting(_Choice(FIGURES + ("all",)), None, ("figures",), "which figure to emit"),
     "reference": Setting(_Choice(("fine", "matched")), "fine", ("consistency",),
@@ -227,9 +228,16 @@ SETTINGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ValueError, so main reports it in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Flags come from SETTINGS and stay strings until resolve_settings parses them."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracschrod",
         description="Numerical experiments for the regularized singular-potential flow.",
         allow_abbrev=False,
@@ -315,8 +323,8 @@ def build_experiment(settings: dict) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         settings = resolve_settings(args)
         cfg = build_experiment(settings)
         out = settings["out"]

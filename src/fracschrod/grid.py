@@ -74,19 +74,25 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    """Complex samples on a grid.  Values are frozen after construction."""
+class _Field:
+    """Samples of the class's dtype on a grid, checked finite and frozen."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=self._dtype)
         if v.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.all(np.isfinite(v)):  # both parts of a complex sample
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(v))
+
+
+class ComplexField(_Field):
+    """Complex samples on a grid.  Values are frozen after construction."""
+
+    _dtype = complex
 
     @classmethod
     def from_checked(cls, grid: Grid, values: np.ndarray) -> ComplexField:
@@ -101,20 +107,10 @@ class ComplexField:
         return field
 
 
-@dataclass(frozen=True)
-class RealField:
+class RealField(_Field):
     """Real samples on a grid (potentials, densities)."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+    _dtype = float
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:

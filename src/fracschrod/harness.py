@@ -301,10 +301,8 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
         shifted = RegularizedPotential(
             epsilon, RealField(grid, t_base.potential.values + epsilon**m * perturbation.values))
         t_shift = simulate(t_base.states[0], shifted, cfg.solver)
-        return max(
-            float(root_dx * np.linalg.norm(a.values - b.values))
-            for a, b in zip(t_base.states, t_shift.states)
-        )
+        return max(float(root_dx * np.linalg.norm(a - b))
+                   for a, b in zip(t_base.values, t_shift.values))
 
     # one width's runs at a time: both die when gap() returns
     distances = [gap(e) for e in cfg.epsilons]

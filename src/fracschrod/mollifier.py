@@ -35,7 +35,7 @@ REGULAR_KINDS = ("zero", "constant_one", "harmonic_shifted")
 SINGULAR_KINDS = ("delta", "delta_squared")
 POTENTIAL_KINDS = REGULAR_KINDS + SINGULAR_KINDS
 
-HARMONIC_CENTER = 5.0
+PACKET_CENTER = 5.0  # the initial packet's center, where the harmonic profile is pinned
 
 
 def bump(y, radius: float = 1.0) -> np.ndarray:
@@ -154,7 +154,7 @@ def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float,
     elif spec.kind == "constant_one":
         values = np.ones(grid.n)
     elif spec.kind == "harmonic_shifted":
-        values = (x - HARMONIC_CENTER) ** 2
+        values = (x - PACKET_CENTER) ** 2
     else:  # the singular kinds: the weighted scaled bump, or its square
         _check_support(grid, spec.site, epsilon)
         phi = friedrichs_mollifier((x - spec.site) / epsilon)

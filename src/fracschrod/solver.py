@@ -1,6 +1,8 @@
 """Time integration of i u_t = [(-Delta)^s + p] u on a fixed grid.
 
-Two backends:
+Two backends, one _STEPPERS entry each; a stepper is built from (grid,
+p_values, dt, order), and SolverConfig alone holds the rules on those (so
+Crank-Nicolson, which only takes s = 1, ignores order):
 
 * crank_nicolson: Cayley stepping of the s = 1 Hamiltonian with a centered
   second difference and Dirichlet ends; the tridiagonal matrix is factored
@@ -27,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, _readonly
-from .mollifier import RegularizedPotential, bump
+from .grid import ComplexField, Grid, RealField, _readonly, require_same_grid
+from .mollifier import PACKET_CENTER, RegularizedPotential, bump
 from .observables import state_observables
 from .operators import FractionalOrder
 
@@ -45,9 +47,6 @@ __all__ = [
     "simulate",
 ]
 
-BACKENDS = ("crank_nicolson", "spectral_strang")
-
-PACKET_CENTER = 5.0
 PACKET_HALF_WIDTH = 0.5
 
 
@@ -84,12 +83,11 @@ class SolverConfig:
             raise ValueError(f"t_end must be finite and at least dt, got {self.t_end}")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
-        if self.backend == "crank_nicolson":
-            if self.order.s != 1.0:
-                raise ValueError(
-                    "crank_nicolson only integrates the s = 1 Laplacian; "
-                    "use spectral_strang for fractional orders"
-                )
+        if self.backend == "crank_nicolson" and self.order.s != 1.0:
+            raise ValueError(
+                "crank_nicolson only integrates the s = 1 Laplacian; "
+                "use spectral_strang for fractional orders"
+            )
 
     @property
     def boundary(self) -> str:
@@ -234,7 +232,7 @@ class _CrankNicolson:
     factored here and solved by one substitution sweep per step.
     """
 
-    def __init__(self, grid: Grid, p_values: np.ndarray, dt: float):
+    def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):
         a = 1.0 / grid.dx**2
         self._a = a
         self._idt = 1j / dt
@@ -286,19 +284,25 @@ class _SplitStep:
         return np.multiply(self._half_phase, work, out=out)
 
 
+_STEPPERS = {"crank_nicolson": _CrankNicolson, "spectral_strang": _SplitStep}
+BACKENDS = tuple(_STEPPERS)
+
+
+def _one_step(u: ComplexField, p: RegularizedPotential, config: SolverConfig) -> ComplexField:
+    require_same_grid(u, p.field)
+    stepper = _STEPPERS[config.backend](u.grid, p.field.values, config.dt, config.order)
+    return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
+
+
 def cn_step(u: ComplexField, p: RegularizedPotential, dt: float) -> ComplexField:
     """One Crank-Nicolson step of length dt."""
-    _check_step_args(u, p, dt)
-    stepper = _CrankNicolson(u.grid, p.field.values, dt)
-    return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
+    return _one_step(u, p, SolverConfig("crank_nicolson", dt=dt, t_end=dt))
 
 
 def strang_step(u: ComplexField, p: RegularizedPotential, dt: float,
                 order: FractionalOrder = FractionalOrder(1.0)) -> ComplexField:
     """One Strang splitting step of length dt."""
-    _check_step_args(u, p, dt)
-    stepper = _SplitStep(u.grid, p.field.values, dt, order)
-    return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
+    return _one_step(u, p, SolverConfig("spectral_strang", dt=dt, t_end=dt, order=order))
 
 
 def step_plan(t_end: float, dt: float) -> tuple[int, float]:
@@ -324,17 +328,12 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     diagnostics and the width of the potential.  The observables of the
     recorded states are computed on their first read from the trajectory.
     """
-    if u0.grid != potential.field.grid:
-        raise ValueError("datum and potential live on different grids")
+    require_same_grid(u0, potential.field)
     grid = u0.grid
     p_values = potential.field.values
     dt = config.dt
     n_full, remainder = step_plan(config.t_end, dt)
-
-    if config.backend == "crank_nicolson":
-        make_stepper = lambda h: _CrankNicolson(grid, p_values, h)
-    else:
-        make_stepper = lambda h: _SplitStep(grid, p_values, h, config.order)
+    make_stepper = _STEPPERS[config.backend]
 
     # full steps recorded before the final state; a last full step that ends
     # the run is recorded as the final state instead
@@ -347,14 +346,14 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     worst = float(np.max(np.abs(values)))
 
     k = 1  # next free row
-    stepper = make_stepper(dt)
+    stepper = make_stepper(grid, p_values, dt, config.order)
     for i in range(1, n_full + 1):
         values = stepper.step(values, rows[k])
         worst = max(worst, _checked_peak(values, i, i * dt, worst, potential.epsilon))
         if i in marked:
             k += 1
     if remainder > 0.0:
-        values = make_stepper(remainder).step(values, rows[k])
+        values = make_stepper(grid, p_values, remainder, config.order).step(values, rows[k])
         _checked_peak(values, n_full + 1, config.t_end, worst, potential.epsilon)
 
     return Trajectory(times=times, values=rows, potential=potential.field, order=config.order)
@@ -374,9 +373,3 @@ def _checked_peak(values: np.ndarray, step: int, time: float, worst: float,
         raise NumericalAbort(step, time, worst, epsilon)
     return peak
 
-
-def _check_step_args(u: ComplexField, p: RegularizedPotential, dt: float) -> None:
-    if u.grid != p.field.grid:
-        raise ValueError("state and potential live on different grids")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a positive real, got {dt}")

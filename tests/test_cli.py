@@ -13,11 +13,15 @@ from fracschrod.cli import (
     COMMANDS,
     POTENTIAL_MAP,
     SETTINGS,
+    build_experiment,
     build_parser,
     main,
     read_config_file,
+    resolve_settings,
 )
-from fracschrod.solver import NumericalAbort
+from fracschrod.harness import ExperimentConfig
+from fracschrod.mollifier import PotentialSpec
+from fracschrod.solver import NumericalAbort, SolverConfig
 
 FAST = ["--nx", "256", "--dt", "0.0107", "--t-end", "0.0214"]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,20 +60,32 @@ def test_command_enums():
     assert set(POTENTIAL_MAP) == {"zero", "one", "harmonic", "delta", "delta2"}
 
 
-def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
+def test_missing_subcommand_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--m"], ["sweep", "--mollify"],
                                   ["consistency", "--ref", "matched"]],
                          ids=["m", "mollify", "ref"])
 def test_abbreviated_flag_is_usage_error(tmp_path, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--out", str(tmp_path / "o")])
-    assert err.value.code == 2
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--bogus", "1"], ["simulate", "--dt"], [],
+                                  ["bogus"]],
+                         ids=["unknown-flag", "missing-value", "no-command", "unknown-command"])
+def test_malformed_command_line_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # the default --out is relative, so nothing may appear in the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 class TestSimulate:
@@ -132,6 +148,17 @@ def test_flags_and_config_keys_agree():
             assert action.dest in dests, (name, longs[0])
             seen.add(action.dest)
     assert seen == dests
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("simulate", ExperimentConfig(epsilons=(0.05,))),
+    ("sweep", ExperimentConfig(solver=SolverConfig(t_end=0.214))),
+    ("energy-scaling", ExperimentConfig(potential=PotentialSpec("delta_squared"))),
+])
+def test_default_run_is_the_library_default(command, expected):
+    # the CLI restates none of the paper's defaults, only its per-command overrides
+    settings = resolve_settings(build_parser().parse_args([command]))
+    assert build_experiment(settings) == expected
 
 
 def _as_config_file(argv) -> str:
@@ -358,9 +385,7 @@ class TestOtherCommands:
         options = subparsers.choices["figures"]._option_string_actions
         assert flag[0] not in options
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as err:
-            main(["figures", "--out", str(out), "--figure", "fig4"] + flag)
-        assert err.value.code == 2
+        assert main(["figures", "--out", str(out), "--figure", "fig4"] + flag) == 2
         assert not out.exists()
 
     def test_figures_single(self, tmp_path):

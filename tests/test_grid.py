@@ -78,10 +78,12 @@ class TestFields:
 
     def test_rejects_non_finite(self):
         g = make_grid(0.0, 1.0, 16)
-        bad = np.zeros(16, dtype=complex)
-        bad[3] = np.nan
-        with pytest.raises(ValueError):
-            ComplexField(g, bad)
+        # a non-finite real part, and an imaginary part alone
+        for sample in (np.nan, complex(0.0, np.nan), complex(0.0, np.inf)):
+            bad = np.zeros(16, dtype=complex)
+            bad[3] = sample
+            with pytest.raises(ValueError):
+                ComplexField(g, bad)
         with pytest.raises(ValueError):
             RealField(g, np.full(16, np.inf))
 

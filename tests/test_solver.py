@@ -240,10 +240,7 @@ class TestStrangStep:
                                        ("spectral_strang", 1.0)])
 def test_step_in_place_equals_fresh_out(backend, s):
     p = potential("delta_squared", eps=0.05).field.values
-    if backend == "crank_nicolson":
-        stepper = fracschrod.solver._CrankNicolson(GRID, p, DT)
-    else:
-        stepper = fracschrod.solver._SplitStep(GRID, p, DT, FractionalOrder(s))
+    stepper = fracschrod.solver._STEPPERS[backend](GRID, p, DT, FractionalOrder(s))
     v = np.array(initial_datum(GRID).values)
     for _ in range(10):
         fresh = stepper.step(v, np.empty_like(v))

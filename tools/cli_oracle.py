@@ -6,12 +6,13 @@ Usage:
 
 Each invocation runs in a fresh ``python -m fracschrod`` process with
 ``PYTHONPATH`` set to this tree's ``src``, ``cwd=OUT_DIR`` and a relative
-``--out``, so the printout names no absolute path.  The printout gives each
-invocation's exit code, stdout (lines marked ``  ``) and stderr (lines
-marked ``! ``), then one ``sha256  path`` line per output file, sorted by
-path.  A manifest is hashed without its ``created`` timestamp.  CSV output
-is byte-deterministic, so two trees compute the same tables exactly when
-the printouts of this script run from each tree agree:
+``--out`` (except the bare ``fracschrod``), so the printout names no
+absolute path.  The printout gives each invocation's exit code, stdout
+(lines marked ``  ``) and stderr (lines marked ``! ``), then one
+``sha256  path`` line per output file, sorted by path.  A manifest is
+hashed without its ``created`` timestamp.  CSV output is byte-deterministic,
+so two trees compute the same tables exactly when the printouts of this
+script run from each tree agree:
 
     python A/tools/cli_oracle.py /tmp/a > a.txt
     python B/tools/cli_oracle.py /tmp/b > b.txt
@@ -60,6 +61,12 @@ INVOCATIONS = [
     # widths that figures does not take, as a flag and as a config-file line
     ["figures", "--figure", "fig4", "--eps", "0.3"],
     ["figures", "--figure", "fig4", "--config", "eps.cfg"],
+    # malformed command lines and help text
+    ["sweep", "--bogus", "1"],
+    ["simulate", "--dt"],
+    [],
+    ["--help"],
+    ["figures", "--help"],
 ]
 CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n",
                 "eps.cfg": "eps = 0.3\n"}
@@ -87,10 +94,12 @@ def main(argv: list[str]) -> int:
         (root / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for k, args in enumerate(INVOCATIONS):
-        out = f"run{k:02d}"
-        proc = subprocess.run([sys.executable, "-m", "fracschrod", *args, "--out", out],
+        # a bare command line stays bare: without a subcommand, --out's value
+        # would be read as one
+        argv = [*args, "--out", f"run{k:02d}"] if args else []
+        proc = subprocess.run([sys.executable, "-m", "fracschrod", *argv],
                               cwd=root, env=env, capture_output=True, text=True)
-        print(f"$ fracschrod {' '.join(args)} --out {out}")
+        print(" ".join(["$", "fracschrod", *argv]))
         print(f"exit {proc.returncode}")
         for line in proc.stdout.splitlines():
             print(f"  {line}")
