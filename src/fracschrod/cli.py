@@ -322,8 +322,25 @@ def build_experiment(settings: dict) -> ExperimentConfig:
     )
 
 
+def _reject_flag_before_command(argv: list[str]) -> None:
+    """A setting's flag before the subcommand is an error that says where it goes.
+
+    argparse would take the flag's value for the subcommand and call it an
+    invalid choice.
+    """
+    for word in argv:
+        flag = word.partition("=")[0]
+        if not flag.startswith("-") or flag in ("-h", "--help"):
+            return
+        if flag == "--config" or flag[2:] in SETTINGS:
+            raise ValueError(f"{flag}: flags go after the subcommand, as in "
+                             f"'fracschrod COMMAND {flag} ...'")
+
+
 def main(argv=None) -> int:
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        _reject_flag_before_command(argv)
         args = build_parser().parse_args(argv)
         settings = resolve_settings(args)
         cfg = build_experiment(settings)

@@ -88,6 +88,32 @@ def test_malformed_command_line_is_one_error_line(tmp_path, monkeypatch, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["--out", "run24"], ["--nx", "256", "simulate"],
+                                  ["--out=run24", "sweep"], ["--config", "x.cfg", "sweep"],
+                                  ["--mollify-data", "sweep"]],
+                         ids=["out-alone", "value-then-command", "joined-value", "config",
+                              "bare-boolean"])
+def test_flag_before_subcommand_names_the_flag(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag = argv[0].partition("=")[0]
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag}: flags go after the subcommand, "
+                            f"as in 'fracschrod COMMAND {flag} ...'\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "--out", "run24"]])
+def test_top_level_help_still_exits_zero(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fracschrod")
+    assert not any(tmp_path.iterdir())
+
+
 class TestSimulate:
     def test_happy_path(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path), "--eps", "0.2"] + FAST)

@@ -19,12 +19,28 @@ script run from each tree agree:
     diff a.txt b.txt
 
 OUT_DIR must not exist yet or be empty.
+
+A change that alters the arithmetic on purpose changes every hash it
+touches.  The compare mode then reads two finished OUT_DIRs, one from each
+tree, and measures how far apart their outputs are:
+
+    python tools/cli_oracle.py --compare /tmp/a /tmp/b --tol 1e-12
+
+For each CSV it prints the largest absolute difference over its numeric
+cells; for each manifest, every numeric key whose values differ, with both
+values.  Any other file, and every non-numeric cell or key, must be equal
+(a manifest's ``created`` is skipped).  It exits 1 when the two file sets
+differ, a non-numeric value differs or a gap exceeds the tolerance
+(default 0), else 0.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +81,7 @@ INVOCATIONS = [
     ["sweep", "--bogus", "1"],
     ["simulate", "--dt"],
     [],
+    ["--nx", "256", "simulate"],
     ["--help"],
     ["figures", "--help"],
 ]
@@ -81,11 +98,7 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    root = Path(argv[0])
+def run_oracle(root: Path) -> int:
     root.mkdir(parents=True, exist_ok=True)
     if any(root.iterdir()):
         print(f"{root} is not empty", file=sys.stderr)
@@ -108,6 +121,87 @@ def main(argv: list[str]) -> int:
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(root).as_posix()}")
     return 0
+
+
+def _gap(a: str, b: str) -> float:
+    """|a - b| of two cells: 0 when equal, inf when they differ and either is no number."""
+    if a == b:
+        return 0.0
+    try:
+        gap = abs(float(a) - float(b))
+    except ValueError:
+        return math.inf
+    return math.inf if math.isnan(gap) else gap
+
+
+def csv_gap(a: Path, b: Path) -> float:
+    """Largest absolute difference between two CSV tables of the same shape."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf
+    return max((_gap(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)),
+               default=0.0)
+
+
+def manifest_gaps(a: Path, b: Path) -> list[tuple[str, object, object, float]]:
+    """(key, value in a, value in b, gap) for every key whose values differ."""
+    ma, mb = json.loads(a.read_text()), json.loads(b.read_text())
+    differing = []
+    for key in sorted((ma.keys() | mb.keys()) - {"created"}):
+        va, vb = ma.get(key), mb.get(key)
+        if va == vb:
+            continue
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (va, vb))
+        differing.append((key, va, vb, _gap(str(va), str(vb)) if numeric else math.inf))
+    return differing
+
+
+def compare(a: Path, b: Path, tol: float) -> int:
+    """Print how far the outputs of two oracle runs are apart; 1 if beyond tol."""
+    names_a = {p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
+    names_b = {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()}
+    failed = names_a != names_b
+    for name in sorted(names_a - names_b):
+        print(f"only in {a}: {name}")
+    for name in sorted(names_b - names_a):
+        print(f"only in {b}: {name}")
+    worst = 0.0
+    for name in sorted(names_a & names_b):
+        pa, pb = a / name, b / name
+        if name.endswith(".csv"):
+            gaps = [csv_gap(pa, pb)]
+            print(f"{gaps[0]:.3e}  {name}")
+        elif pa.name == "manifest.json":
+            differing = manifest_gaps(pa, pb)
+            gaps = [gap for *_, gap in differing]
+            for key, va, vb, gap in differing:
+                print(f"{gap:.3e}  {name}: {key}: {va!r} != {vb!r}")
+        else:
+            gaps = [0.0 if pa.read_bytes() == pb.read_bytes() else math.inf]
+            if gaps[0]:
+                print(f"differs  {name}")
+        worst = max([worst, *gaps])
+    failed |= worst > tol
+    print(f"{len(names_a & names_b)} files compared; largest gap {worst:.3e}, "
+          f"tolerance {tol:g}: {'FAIL' if failed else 'ok'}")
+    return int(failed)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Golden oracle for the command line.")
+    parser.add_argument("out_dir", nargs="?", type=Path, help="directory for a new oracle run")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OUT_A", "OUT_B"),
+                        help="compare the outputs of two finished oracle runs")
+    parser.add_argument("--tol", type=float, default=0.0,
+                        help="largest absolute gap --compare accepts (default 0)")
+    args = parser.parse_args(argv)
+    if (args.out_dir is None) == (args.compare is None):
+        parser.error("give either OUT_DIR or --compare OUT_A OUT_B")
+    if args.compare:
+        return compare(*args.compare, args.tol)
+    return run_oracle(args.out_dir)
 
 
 if __name__ == "__main__":
