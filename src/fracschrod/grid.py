@@ -45,9 +45,11 @@ class Grid:
             raise ValueError(
                 f"empty domain: x_max={self.x_max} must exceed x_min={self.x_min}"
             )
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            # power of two keeps the transform ladder exact for the spectral backend
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        # power of two keeps the transform ladder exact for the spectral backend;
+        # make_grid converts a whole float n
+        if (not isinstance(self.n, (int, np.integer)) or self.n < 8
+                or (self.n & (self.n - 1)) != 0):
+            raise ValueError(f"n must be an integer power of two >= 8, got {self.n!r}")
 
     @property
     def dx(self) -> float:

@@ -6,7 +6,8 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 
 * crank_nicolson: Cayley stepping of the s = 1 Hamiltonian with a centered
   second difference and Dirichlet ends; the tridiagonal matrix is factored
-  once per run, one blocked substitution per step (_ThomasFactor).
+  once per run, one blocked substitution per step (the algorithm is stated
+  in _ThomasFactor).
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid; works for any
   order s.
@@ -169,19 +170,15 @@ def initial_datum(grid: Grid) -> ComplexField:
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Factor a tridiagonal system, then solve it by blocked substitution.
+    """Solve one tridiagonal system by _ThomasFactor's blocked substitution.
 
-    Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i];
-    lower[0] and upper[-1] are ignored.  No pivoting: a vanishing pivot is a
-    hard error, so callers must pass diagonally dominant systems.  The
-    pivots are the one-pass Thomas sweep's; the substitution runs on blocks
-    of BLOCK_ROWS rows at once (_ThomasFactor), so the solution agrees with
-    the one-pass sweep to roundoff, not bit for bit.
+    Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
+    See _ThomasFactor for the ignored band ends, pivoting and accuracy.
     """
     diag = np.asarray(diag, dtype=complex)
-    n = diag.shape[0]
-    if n == 0:
-        raise ValueError("empty system")
+    if diag.ndim != 1 or len(diag) == 0:
+        raise ValueError(f"diag must be a non-empty 1-D band, got shape {diag.shape}")
+    n = len(diag)
     for name, band in (("lower", lower), ("upper", upper), ("rhs", rhs)):
         band = np.asarray(band)
         if band.shape != (n,):
@@ -209,19 +206,25 @@ def _chain(outflows: list, responses: list) -> list:
 class _ThomasFactor:
     """Thomas pivots and multipliers, computed once, and a blocked substitution.
 
-    The pivots and upper/pivot multipliers come from the one-pass sweep's
-    loop, so they are bit-identical to it.  The rows are split into
-    K = ceil(n / BLOCK_ROWS) blocks, the last padded with pivot 1 and zero
-    bands, and every band is stored as a (BLOCK_ROWS, K) array whose row j
-    holds row j of each block.  solve() runs the forward substitution of
-    all blocks at once from zero inflow: BLOCK_ROWS numpy steps on K-vectors.
-    Each block's true inflow, the last forward value of the block before,
-    is then chained through the K blocks in Python, and each block adds its
-    inflow times its forward response g, the substitution of a zero rhs
-    from a unit inflow.  The back substitution runs the same way with the
-    backward response h.  g and h are computed in the pivot loop with the
-    substitution's own Python arithmetic.  The solution therefore agrees
-    with the one-pass sweep to roundoff, not bit for bit.
+    The bands hold the rows as solve_tridiagonal reads them, and lower[0]
+    and upper[-1] are ignored.  No pivoting: a vanishing pivot is a
+    hard error, so callers must pass diagonally dominant systems.  The
+    pivots and upper/pivot multipliers come from the one-pass sweep's loop,
+    so they are bit-identical to it.
+
+    The substitution is Wang's partition method (ACM TOMS 7, 1981).  The
+    rows are split into K = ceil(n / BLOCK_ROWS) blocks, the last padded
+    with pivot 1 and zero bands, and every band is stored as a
+    (BLOCK_ROWS, K) array whose row j holds row j of each block.  solve()
+    runs the forward substitution of all blocks at once from zero inflow:
+    BLOCK_ROWS numpy steps on K-vectors.  Each block's true inflow, the last
+    forward value of the block before, is then chained through the K blocks
+    in Python, and each block adds its inflow times its forward response g,
+    the substitution of a zero rhs from a unit inflow: the cumulative
+    product of -lower/pivot down the block.  The back substitution runs the
+    same way with the backward response h, the cumulative product of
+    -multiplier up the block.  The solution therefore agrees with the
+    one-pass sweep to roundoff, not bit for bit.
     """
 
     def __init__(self, lower, diag, upper):
@@ -229,7 +232,7 @@ class _ThomasFactor:
         n = len(diag)
         n_blocks = -(-n // BLOCK_ROWS)
         # the three bands padded to whole blocks: padding rows read diagonal 1
-        # and zero bands, so the loop below gives them pivot 1 and zero g and h;
+        # and zero bands, so they get pivot 1 and zero multipliers, g and h;
         # the ignored lower[0] and upper[-1] read 0, so row 0's pivot is diag[0]
         system = np.zeros((3, n_blocks * BLOCK_ROWS), dtype=complex)
         system[0, 1:n] = np.asarray(lower, dtype=complex)[1:]
@@ -237,30 +240,25 @@ class _ThomasFactor:
         system[1, :n] = diag
         system[2, :n - 1] = np.asarray(upper, dtype=complex)[:n - 1]
         blocks = system.reshape(3, n_blocks, BLOCK_ROWS)
-        # pivot, multiplier, g and h, each as a (BLOCK_ROWS, K) band
-        bands = np.empty((4, BLOCK_ROWS, n_blocks), dtype=complex)
+        # pivot and multiplier, each as a (BLOCK_ROWS, K) band
+        bands = np.empty((2, BLOCK_ROWS, n_blocks), dtype=complex)
         multiplier = 0j
         for k in range(n_blocks):
-            pivots, multipliers, forward, backward = [], [], [], []
-            g = 1.0
+            pivots, multipliers = [], []
             # plain python lists: roughly 10x faster than numpy scalar indexing here
             for l, d, u in zip(*blocks[:, k].tolist()):
                 pivot = d - l * multiplier
                 if pivot == 0:
                     raise ValueError(f"zero pivot in row {k * BLOCK_ROWS + len(pivots)}")
                 multiplier = u / pivot
-                g = (0 - l * g) / pivot
                 pivots.append(pivot)
                 multipliers.append(multiplier)
-                forward.append(g)
-            h = 1.0
-            for m in reversed(multipliers):
-                h = 0 - m * h
-                backward.append(h)
-            bands[:, :, k] = pivots, multipliers, forward, backward[::-1]
+            bands[:, :, k] = pivots, multipliers
         self._n = n
-        self._pivots, self._multipliers, self._forward, self._backward = bands
+        self._pivots, self._multipliers = bands
         self._lower = blocks[0].T.copy()
+        self._forward = np.cumprod(-self._lower / self._pivots, axis=0)
+        self._backward = np.cumprod(-self._multipliers[::-1], axis=0)[::-1]
         # the responses the inflow chains read: g of each block's last row, h of its first
         self._chained_g = self._forward[-1, :-1].tolist()
         self._chained_h = self._backward[0, :0:-1].tolist()
@@ -309,13 +307,9 @@ class _CrankNicolson:
         self._a = a
         self._idt = 1j / dt
         self._p_in = p_values[1:-1]
-        m = grid.n - 2
-        lower = np.full(m, 0.5 * a, dtype=complex)
-        upper = np.full(m, 0.5 * a, dtype=complex)
-        lower[0] = 0.0
-        upper[-1] = 0.0
-        diag = self._idt - (a + 0.5 * self._p_in)
-        self._factor = _ThomasFactor(lower, diag, upper)
+        # one band serves as both off-diagonals: the factor ignores its far ends
+        band = np.full(grid.n - 2, 0.5 * a)
+        self._factor = _ThomasFactor(band, self._idt - (a + 0.5 * self._p_in), band)
 
     def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the next state into out and return it; out may be values."""

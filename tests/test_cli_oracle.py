@@ -30,7 +30,7 @@ def test_identical_trees_pass(tmp_path, capsys):
     assert cli_oracle.main(["--compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "0.000e+00  run00/uniqueness.csv" in out
-    assert out.splitlines()[-1].endswith(": ok")
+    assert out.splitlines()[-1] == "3 files compared; largest gap 0.000e+00, tolerance 0: ok"
 
 
 @pytest.mark.parametrize("tol,status", [(1e-12, 0), (1e-14, 1)])
@@ -38,7 +38,9 @@ def test_csv_gap_against_the_tolerance(tmp_path, capsys, tol, status):
     a = write_tree(tmp_path / "a")
     b = write_tree(tmp_path / "b", distance=repr(0.25 + 2**-43))
     assert cli_oracle.main(["--compare", str(a), str(b), "--tol", str(tol)]) == status
-    assert "1.137e-13  run00/uniqueness.csv" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1.137e-13  run00/uniqueness.csv" in out
+    assert "largest gap 1.137e-13 in run00/uniqueness.csv," in out.splitlines()[-1]
 
 
 def test_manifest_prints_each_differing_numeric_key(tmp_path, capsys):
@@ -48,6 +50,8 @@ def test_manifest_prints_each_differing_numeric_key(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "9.095e-13  run00/manifest.json: decay_rate: 2.0 != 2.0000000000009095" in out
     assert "manifest.json: m:" not in out
+    assert out.splitlines()[-1] == ("3 files compared; largest gap 9.095e-13 in "
+                                    "run00/manifest.json: decay_rate, tolerance 1e-11: ok")
 
 
 @pytest.mark.parametrize("extra", [{"command": "sweep"}, {"in_band": True}],

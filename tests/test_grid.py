@@ -59,6 +59,11 @@ class TestGridConstruction:
         g = make_grid(0.0, 10.0, 1024.0)
         assert g.n == 1024 and isinstance(g.n, int)
 
+    def test_direct_construction_rejects_float_n(self):
+        # make_grid converts a whole float; the dataclass itself takes only integers
+        with pytest.raises(ValueError, match="integer power of two.*1024.0"):
+            Grid(0.0, 10.0, 1024.0)
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, 4)

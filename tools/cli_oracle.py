@@ -29,9 +29,10 @@ tree, and measures how far apart their outputs are:
 For each CSV it prints the largest absolute difference over its numeric
 cells; for each manifest, every numeric key whose values differ, with both
 values.  Any other file, and every non-numeric cell or key, must be equal
-(a manifest's ``created`` is skipped).  It exits 1 when the two file sets
-differ, a non-numeric value differs or a gap exceeds the tolerance
-(default 0), else 0.
+(a manifest's ``created`` is skipped).  The last line gives the largest
+gap and where it is: the file and, for a manifest, the key.  It exits 1
+when the two file sets differ, a non-numeric value differs or a gap
+exceeds the tolerance (default 0), else 0.
 """
 
 from __future__ import annotations
@@ -167,24 +168,26 @@ def compare(a: Path, b: Path, tol: float) -> int:
         print(f"only in {a}: {name}")
     for name in sorted(names_b - names_a):
         print(f"only in {b}: {name}")
-    worst = 0.0
+    worst, where = 0.0, ""
     for name in sorted(names_a & names_b):
         pa, pb = a / name, b / name
         if name.endswith(".csv"):
-            gaps = [csv_gap(pa, pb)]
-            print(f"{gaps[0]:.3e}  {name}")
+            gaps = [(csv_gap(pa, pb), name)]
+            print(f"{gaps[0][0]:.3e}  {name}")
         elif pa.name == "manifest.json":
             differing = manifest_gaps(pa, pb)
-            gaps = [gap for *_, gap in differing]
+            gaps = [(gap, f"{name}: {key}") for key, *_, gap in differing]
             for key, va, vb, gap in differing:
                 print(f"{gap:.3e}  {name}: {key}: {va!r} != {vb!r}")
         else:
-            gaps = [0.0 if pa.read_bytes() == pb.read_bytes() else math.inf]
-            if gaps[0]:
+            gaps = [(0.0 if pa.read_bytes() == pb.read_bytes() else math.inf, name)]
+            if gaps[0][0]:
                 print(f"differs  {name}")
-        worst = max([worst, *gaps])
+        for gap, label in gaps:
+            if gap > worst:
+                worst, where = gap, f" in {label}"
     failed |= worst > tol
-    print(f"{len(names_a & names_b)} files compared; largest gap {worst:.3e}, "
+    print(f"{len(names_a & names_b)} files compared; largest gap {worst:.3e}{where}, "
           f"tolerance {tol:g}: {'FAIL' if failed else 'ok'}")
     return int(failed)
 
