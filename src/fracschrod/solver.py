@@ -6,8 +6,8 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 
 * crank_nicolson: Cayley stepping of the s = 1 Hamiltonian with a centered
   second difference and Dirichlet ends; the tridiagonal matrix is factored
-  once per run, one blocked substitution per step (the algorithm is stated
-  in _ThomasFactor).
+  once per run, and each step's solve is one blocked recurrence run forward
+  down the rows, then backward up them (stated in _ThomasFactor).
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid; works for any
   order s.
@@ -189,18 +189,27 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 BLOCK_ROWS = 16  # rows per block of the blocked tridiagonal substitution
 
 
-def _chain(outflows: list, responses: list) -> list:
-    """Inflow of each block in chain order: 0, then outflow + response * inflow.
+def _blocked(rows: np.ndarray) -> np.ndarray:
+    """View K whole blocks of rows as (BLOCK_ROWS, K): row j holds row j of each block."""
+    return rows.reshape(-1, BLOCK_ROWS).T
 
-    outflows[k] and responses[k] are the zero-inflow value and the unit-inflow
-    response of the row that feeds block k + 1.
+
+def _substitute(y: np.ndarray, coef: np.ndarray, response: np.ndarray, chained: list,
+                work: np.ndarray) -> None:
+    """Run y[j] += coef[j] * y[j-1] down every (BLOCK_ROWS, K) block of y in place.
+
+    All blocks first run from zero inflow at once; then each block's true
+    inflow, the last value of the block before, is chained through the K
+    blocks in Python and added times the block's response.
     """
-    inflow = 0j
-    inflows = [inflow]
-    for outflow, response in zip(outflows, responses):
-        inflow = outflow + response * inflow
-        inflows.append(inflow)
-    return inflows
+    for j in range(1, BLOCK_ROWS):
+        np.multiply(coef[j], y[j - 1], out=work[j])
+        np.add(y[j], work[j], out=y[j])
+    inflows = [0j]
+    for outflow, gain in zip(y[-1, :-1].tolist(), chained):
+        inflows.append(outflow + gain * inflows[-1])
+    np.multiply(response, np.array(inflows), out=work)
+    np.add(y, work, out=y)
 
 
 class _ThomasFactor:
@@ -212,85 +221,66 @@ class _ThomasFactor:
     pivots and upper/pivot multipliers come from the one-pass sweep's loop,
     so they are bit-identical to it.
 
-    The substitution is Wang's partition method (ACM TOMS 7, 1981).  The
-    rows are split into K = ceil(n / BLOCK_ROWS) blocks, the last padded
-    with pivot 1 and zero bands, and every band is stored as a
-    (BLOCK_ROWS, K) array whose row j holds row j of each block.  solve()
-    runs the forward substitution of all blocks at once from zero inflow:
-    BLOCK_ROWS numpy steps on K-vectors.  Each block's true inflow, the last
-    forward value of the block before, is then chained through the K blocks
-    in Python, and each block adds its inflow times its forward response g,
-    the substitution of a zero rhs from a unit inflow: the cumulative
-    product of -lower/pivot down the block.  The back substitution runs the
-    same way with the backward response h, the cumulative product of
-    -multiplier up the block.  The solution therefore agrees with the
+    With the rhs divided by the pivots, the Thomas solve is one first-order
+    recurrence, y[j] += c[j] * y[j-1], run twice: forward with
+    c = -lower/pivot, then backward, rows reversed, with c = -multiplier.
+    Each run is Wang's partition method (ACM TOMS 7, 1981), in
+    _substitute.  The rows are split into K = ceil(n / BLOCK_ROWS) blocks,
+    the last padded with pivot 1 and zero bands, and every band is stored
+    as a (BLOCK_ROWS, K) array whose row j holds row j of each block, so the
+    reversed rows are the view [::-1, ::-1].  The solution agrees with the
     one-pass sweep to roundoff, not bit for bit.
     """
 
     def __init__(self, lower, diag, upper):
         diag = np.asarray(diag, dtype=complex)
         n = len(diag)
-        n_blocks = -(-n // BLOCK_ROWS)
+        padded = -(-n // BLOCK_ROWS) * BLOCK_ROWS
         # the three bands padded to whole blocks: padding rows read diagonal 1
-        # and zero bands, so they get pivot 1 and zero multipliers, g and h;
-        # the ignored lower[0] and upper[-1] read 0, so row 0's pivot is diag[0]
-        system = np.zeros((3, n_blocks * BLOCK_ROWS), dtype=complex)
+        # and zero bands, so they get pivot 1 and zero multipliers and
+        # coefficients; the ignored lower[0] and upper[-1] read 0, so row 0's
+        # pivot is diag[0]
+        system = np.zeros((3, padded), dtype=complex)
         system[0, 1:n] = np.asarray(lower, dtype=complex)[1:]
         system[1] = 1.0
         system[1, :n] = diag
         system[2, :n - 1] = np.asarray(upper, dtype=complex)[:n - 1]
-        blocks = system.reshape(3, n_blocks, BLOCK_ROWS)
-        # pivot and multiplier, each as a (BLOCK_ROWS, K) band
-        bands = np.empty((2, BLOCK_ROWS, n_blocks), dtype=complex)
+        pivots, multipliers = [], []
         multiplier = 0j
-        for k in range(n_blocks):
-            pivots, multipliers = [], []
-            # plain python lists: roughly 10x faster than numpy scalar indexing here
-            for l, d, u in zip(*blocks[:, k].tolist()):
-                pivot = d - l * multiplier
-                if pivot == 0:
-                    raise ValueError(f"zero pivot in row {k * BLOCK_ROWS + len(pivots)}")
-                multiplier = u / pivot
-                pivots.append(pivot)
-                multipliers.append(multiplier)
-            bands[:, :, k] = pivots, multipliers
+        # plain python lists: roughly 10x faster than numpy scalar indexing here
+        for l, d, u in zip(*system.tolist()):
+            pivot = d - l * multiplier
+            if pivot == 0:
+                raise ValueError(f"zero pivot in row {len(pivots)}")
+            multiplier = u / pivot
+            pivots.append(pivot)
+            multipliers.append(multiplier)
         self._n = n
-        self._pivots, self._multipliers = bands
-        self._lower = blocks[0].T.copy()
-        self._forward = np.cumprod(-self._lower / self._pivots, axis=0)
-        self._backward = np.cumprod(-self._multipliers[::-1], axis=0)[::-1]
-        # the responses the inflow chains read: g of each block's last row, h of its first
-        self._chained_g = self._forward[-1, :-1].tolist()
-        self._chained_h = self._backward[0, :0:-1].tolist()
-        # work arrays: the rhs rows in natural order, then the blocked state
-        self._rows = np.zeros(n_blocks * BLOCK_ROWS, dtype=complex)
+        self._pivots, self._multipliers = (_blocked(np.array(band)).copy()
+                                           for band in (pivots, multipliers))
+        # one (coef, response, chained) triple per direction, forward then
+        # backward: a block's response to a unit inflow is the cumulative
+        # product of coef down the block, and chained lists the responses of
+        # the last rows, the ones that feed the next blocks
+        self._sweeps = []
+        for coef in (-_blocked(system[0]) / self._pivots, -self._multipliers[::-1, ::-1]):
+            response = np.cumprod(coef, axis=0)
+            self._sweeps.append((coef, response, response[-1, :-1].tolist()))
+        # work arrays: the rhs rows in natural order, the blocked state, a product
+        self._rows = np.zeros(padded, dtype=complex)
         self._state = np.empty_like(self._pivots)
-        self._product = np.empty_like(self._pivots)
+        self._work = np.empty_like(self._pivots)
 
     def solve(self, rhs, out: np.ndarray) -> np.ndarray:
         """Write the solution into out and return it; out may alias rhs."""
-        n, rows, x, product = self._n, self._rows, self._state, self._product
-        pivots, lower, multipliers = self._pivots, self._lower, self._multipliers
+        n, rows, x, work = self._n, self._rows, self._state, self._work
         rows[:n] = rhs
         rows[n:] = 0.0
-        np.copyto(x, rows.reshape(-1, BLOCK_ROWS).T)
-        # forward substitution of every block from zero inflow, then the inflows
-        np.divide(x[0], pivots[0], out=x[0])
-        for j in range(1, BLOCK_ROWS):
-            np.multiply(lower[j], x[j - 1], out=product[j])
-            np.subtract(x[j], product[j], out=x[j])
-            np.divide(x[j], pivots[j], out=x[j])
-        inflows = _chain(x[-1, :-1].tolist(), self._chained_g)
-        np.multiply(self._forward, np.array(inflows), out=product)
-        np.add(x, product, out=x)
-        # back substitution of every block from zero inflow, then the inflows
-        for j in range(BLOCK_ROWS - 2, -1, -1):
-            np.multiply(multipliers[j], x[j + 1], out=product[j])
-            np.subtract(x[j], product[j], out=x[j])
-        inflows = _chain(x[0, :0:-1].tolist(), self._chained_h)
-        np.multiply(self._backward, np.array(inflows[::-1]), out=product)
-        np.add(x, product, out=x)
-        np.copyto(rows.reshape(-1, BLOCK_ROWS).T, x)
+        np.divide(_blocked(rows), self._pivots, out=x)
+        forward, backward = self._sweeps
+        _substitute(x, *forward, work)
+        _substitute(x[::-1, ::-1], *backward, work)
+        np.copyto(_blocked(rows), x)
         out[...] = rows[:n]
         return out
 

@@ -201,7 +201,7 @@ class TestSolveTridiagonal:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
-        for diag in (np.array(1.0), np.ones((4, 1))):
+        for diag in (np.array(1.0), np.ones((4, 1)), np.ones(0)):
             with pytest.raises(ValueError, match="diag"):
                 solve_tridiagonal(np.zeros(4), diag, np.zeros(4), np.ones(4))
 
@@ -227,24 +227,42 @@ class TestBlockedSubstitution:
 
     @pytest.mark.parametrize("n", [17, 33, 1022])
     def test_block_responses_are_unit_inflow_substitutions(self, n):
-        # g: forward substitution of a zero rhs from a unit inflow; h: the backward one
+        # forward: the substitution of a zero rhs from a unit inflow down a block;
+        # backward: the same up a block, stored with rows and blocks reversed
         lower, diag, upper, _ = random_bands(np.random.default_rng(n), n)
         factor = fracschrod.solver._ThomasFactor(lower, diag, upper)
+        # lower as the factor reads it: lower[0] and the padding rows are 0
+        blocked_lower = np.zeros(factor._pivots.shape[::-1], dtype=complex)
+        blocked_lower.reshape(-1)[1:n] = lower[1:]
+        blocked_lower = blocked_lower.T
+        (_, forward, _), (_, backward, _) = factor._sweeps
+        backward = backward[::-1, ::-1]
         for k in range(factor._pivots.shape[1]):
             pivots, lowers, multipliers = (band[:, k].tolist() for band in
-                                           (factor._pivots, factor._lower, factor._multipliers))
-            g, forward = 1.0, []
+                                           (factor._pivots, blocked_lower, factor._multipliers))
+            g, forward_expected = 1.0, []
             for l, pivot in zip(lowers, pivots):
                 g = (0 - l * g) / pivot
-                forward.append(g)
-            h, backward = 1.0, []
+                forward_expected.append(g)
+            h, backward_expected = 1.0, []
             for m in reversed(multipliers):
                 h = 0 - m * h
-                backward.append(h)
-            for response, expected in ((factor._forward[:, k], forward),
-                                       (factor._backward[:, k], backward[::-1])):
+                backward_expected.append(h)
+            for response, expected in ((forward[:, k], forward_expected),
+                                       (backward[:, k], backward_expected[::-1])):
                 expected = np.array(expected)
                 assert np.max(np.abs(response - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [17, 1022])
+    def test_non_finite_rhs_does_not_reach_the_next_solve(self, n):
+        # both sizes end in padding rows, which a NaN solve fills with NaN
+        lower, diag, upper, rhs = random_bands(np.random.default_rng(n), n)
+        factor = fracschrod.solver._ThomasFactor(lower, diag, upper)
+        x = factor.solve(rhs, np.empty(n, dtype=complex))
+        bad = rhs.copy()
+        bad[n // 2] = np.nan
+        assert np.all(np.isnan(factor.solve(bad, np.empty(n, dtype=complex))))
+        assert np.array_equal(factor.solve(rhs, np.empty(n, dtype=complex)), x)
 
     def test_ignored_band_ends_do_not_reach_the_solution(self):
         lower, diag, upper, rhs = random_bands(np.random.default_rng(5), 40)
