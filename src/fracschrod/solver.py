@@ -6,7 +6,7 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 
 * crank_nicolson: Cayley stepping of the s = 1 Hamiltonian with a centered
   second difference and Dirichlet ends; the tridiagonal matrix is factored
-  once per run, and each step's solve is one blocked recurrence run forward
+  once per run, and each step's solve is two scaled prefix sums, forward
   down the rows, then backward up them (stated in _ThomasFactor).
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid; works for any
@@ -170,10 +170,10 @@ def initial_datum(grid: Grid) -> ComplexField:
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve one tridiagonal system by _ThomasFactor's blocked substitution.
+    """Solve one tridiagonal system by _ThomasFactor's two scaled prefix sums.
 
     Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
-    See _ThomasFactor for the ignored band ends, pivoting and accuracy.
+    See _ThomasFactor for the ignored band ends, pivoting, segments and accuracy.
     """
     diag = np.asarray(diag, dtype=complex)
     if diag.ndim != 1 or len(diag) == 0:
@@ -186,64 +186,80 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return _ThomasFactor(lower, diag, upper).solve(rhs, np.empty(n, dtype=complex))
 
 
-BLOCK_ROWS = 16  # rows per block of the blocked tridiagonal substitution
+SEGMENT_LOG_BOUND = 300.0  # a segment's running product stays within e^±300
 
 
-def _blocked(rows: np.ndarray) -> np.ndarray:
-    """View K whole blocks of rows as (BLOCK_ROWS, K): row j holds row j of each block."""
-    return rows.reshape(-1, BLOCK_ROWS).T
+def _prefix_products(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """(P, 1/P, segments) of the recurrence y[j] = b[j] + coef[j] * y[j-1].
 
-
-def _substitute(y: np.ndarray, coef: np.ndarray, response: np.ndarray, chained: list,
-                work: np.ndarray) -> None:
-    """Run y[j] += coef[j] * y[j-1] down every (BLOCK_ROWS, K) block of y in place.
-
-    All blocks first run from zero inflow at once; then each block's true
-    inflow, the last value of the block before, is chained through the K
-    blocks in Python and added times the block's response.
+    Segments, listed as (start, stop, coef[start]), start at row 0 and at
+    every row whose coefficient is 0 or not finite or at which P, the
+    running product of coef from 1 at the segment's start, would leave
+    e^±SEGMENT_LOG_BOUND.
     """
-    for j in range(1, BLOCK_ROWS):
-        np.multiply(coef[j], y[j - 1], out=work[j])
-        np.add(y[j], work[j], out=y[j])
-    inflows = [0j]
-    for outflow, gain in zip(y[-1, :-1].tolist(), chained):
-        inflows.append(outflow + gain * inflows[-1])
-    np.multiply(response, np.array(inflows), out=work)
-    np.add(y, work, out=y)
+    magnitude = np.abs(coef)
+    cut = ~(np.isfinite(magnitude) & (magnitude > 0))
+    logs = np.cumsum(np.log(np.where(cut, 1.0, magnitude)))
+    starts = [0]
+    while True:
+        ahead = slice(starts[-1] + 1, None)
+        drift = np.abs(logs[ahead] - logs[starts[-1]])
+        hits = np.flatnonzero(cut[ahead] | (drift > SEGMENT_LOG_BOUND))
+        if not hits.size:
+            break
+        starts.append(starts[-1] + 1 + int(hits[0]))
+    products, segments = np.ones_like(coef), []
+    for start, stop in zip(starts, starts[1:] + [len(coef)]):
+        np.cumprod(coef[start + 1:stop], out=products[start + 1:stop])
+        segments.append((start, stop, complex(coef[start])))
+    return products, 1.0 / products, segments
+
+
+def _substitute(y: np.ndarray, products: np.ndarray, inverses: np.ndarray, segments: list) -> None:
+    """Run y[j] += c[j] * y[j-1] in place as y = P * cumsum(y * inverses) per segment.
+
+    inverses is 1/P times any scale the rows take first.  A segment's
+    inflow c[start] * y[start-1] enters its first row (P = 1) before the
+    sum, so a NaN reaches every later row even through a zero coefficient.
+    """
+    inflow = 0j
+    for start, stop, gain in segments:
+        rows = y[start:stop]
+        np.multiply(rows, inverses[start:stop], out=rows)
+        rows[0] += gain * inflow
+        np.add.accumulate(rows, out=rows)  # cumsum without np.cumsum's wrapper
+        np.multiply(rows, products[start:stop], out=rows)
+        inflow = rows[-1]
 
 
 class _ThomasFactor:
-    """Thomas pivots and multipliers, computed once, and a blocked substitution.
+    """Thomas pivots and multipliers, computed once, and a solve by scaled prefix sums.
 
-    The bands hold the rows as solve_tridiagonal reads them, and lower[0]
-    and upper[-1] are ignored.  No pivoting: a vanishing pivot is a
-    hard error, so callers must pass diagonally dominant systems.  The
-    pivots and upper/pivot multipliers come from the one-pass sweep's loop,
-    so they are bit-identical to it.
+    The bands hold the rows as solve_tridiagonal reads them; lower[0] and
+    upper[-1] are ignored.  No pivoting: a vanishing pivot is a hard error,
+    so callers must pass diagonally dominant systems.  The pivots and
+    upper/pivot multipliers come from the one-pass sweep's loop, so they
+    are bit-identical to it.
 
-    With the rhs divided by the pivots, the Thomas solve is one first-order
-    recurrence, y[j] += c[j] * y[j-1], run twice: forward with
-    c = -lower/pivot, then backward, rows reversed, with c = -multiplier.
-    Each run is Wang's partition method (ACM TOMS 7, 1981), in
-    _substitute.  The rows are split into K = ceil(n / BLOCK_ROWS) blocks,
-    the last padded with pivot 1 and zero bands, and every band is stored
-    as a (BLOCK_ROWS, K) array whose row j holds row j of each block, so the
-    reversed rows are the view [::-1, ::-1].  The solution agrees with the
-    one-pass sweep to roundoff, not bit for bit.
+    With the rhs b divided by the pivots, the solve is the recurrence
+    y[j] = b[j] + c[j] * y[j-1], run forward with c = -lower/pivot, then on
+    the reversed rows with c = -multiplier.  Its exact solution is
+    y = P * cumsum(b / P), P the running product of c, so each direction
+    stores P and 1/P (forward: 1/(pivot P)) and each run is a multiply, a
+    cumulative sum and a multiply (_substitute), restarted in a new segment
+    wherever a coefficient is 0 or not finite or P would leave e^±300
+    (about 1e±130).  |cumsum(b / P)| = |y| / |P| holds exactly, and P's
+    accumulated error cancels in the ratio P[j] / P[i] that weighs b[i] in
+    y[j], so the solution agrees with the one-pass sweep to roundoff.
     """
 
     def __init__(self, lower, diag, upper):
         diag = np.asarray(diag, dtype=complex)
         n = len(diag)
-        padded = -(-n // BLOCK_ROWS) * BLOCK_ROWS
-        # the three bands padded to whole blocks: padding rows read diagonal 1
-        # and zero bands, so they get pivot 1 and zero multipliers and
-        # coefficients; the ignored lower[0] and upper[-1] read 0, so row 0's
-        # pivot is diag[0]
-        system = np.zeros((3, padded), dtype=complex)
-        system[0, 1:n] = np.asarray(lower, dtype=complex)[1:]
-        system[1] = 1.0
-        system[1, :n] = diag
+        # the ignored lower[0] and upper[-1] read 0: both recurrences start at c = 0
+        system = np.zeros((3, n), dtype=complex)
+        system[0, 1:] = np.asarray(lower, dtype=complex)[1:]
+        system[1] = diag
         system[2, :n - 1] = np.asarray(upper, dtype=complex)[:n - 1]
         pivots, multipliers = [], []
         multiplier = 0j
@@ -255,33 +271,16 @@ class _ThomasFactor:
             multiplier = u / pivot
             pivots.append(pivot)
             multipliers.append(multiplier)
-        self._n = n
-        self._pivots, self._multipliers = (_blocked(np.array(band)).copy()
-                                           for band in (pivots, multipliers))
-        # one (coef, response, chained) triple per direction, forward then
-        # backward: a block's response to a unit inflow is the cumulative
-        # product of coef down the block, and chained lists the responses of
-        # the last rows, the ones that feed the next blocks
-        self._sweeps = []
-        for coef in (-_blocked(system[0]) / self._pivots, -self._multipliers[::-1, ::-1]):
-            response = np.cumprod(coef, axis=0)
-            self._sweeps.append((coef, response, response[-1, :-1].tolist()))
-        # work arrays: the rhs rows in natural order, the blocked state, a product
-        self._rows = np.zeros(padded, dtype=complex)
-        self._state = np.empty_like(self._pivots)
-        self._work = np.empty_like(self._pivots)
+        self._pivots, self._multipliers = np.array(pivots), np.array(multipliers)
+        products, inverses, segments = _prefix_products(-system[0] / self._pivots)
+        self._forward = products, inverses / self._pivots, segments
+        self._backward = _prefix_products(-self._multipliers[::-1])
 
     def solve(self, rhs, out: np.ndarray) -> np.ndarray:
         """Write the solution into out and return it; out may alias rhs."""
-        n, rows, x, work = self._n, self._rows, self._state, self._work
-        rows[:n] = rhs
-        rows[n:] = 0.0
-        np.divide(_blocked(rows), self._pivots, out=x)
-        forward, backward = self._sweeps
-        _substitute(x, *forward, work)
-        _substitute(x[::-1, ::-1], *backward, work)
-        np.copyto(_blocked(rows), x)
-        out[...] = rows[:n]
+        out[...] = rhs
+        _substitute(out, *self._forward)
+        _substitute(out[::-1], *self._backward)
         return out
 
 
@@ -289,7 +288,7 @@ class _CrankNicolson:
     """Cayley step (i/dt - H/2) u_next = (i/dt + H/2) u, H = -D2 + p.
 
     The first and last nodes are held at zero; the interior block is
-    factored here and solved by one blocked substitution per step.
+    factored here and solved by one prefix-sum substitution per step.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):

@@ -133,9 +133,15 @@ def random_bands(rng, n):
     return lower, diag, upper, rhs
 
 
-def unblocked(band, n):
-    """The first n rows of a (BLOCK_ROWS, K) band of _ThomasFactor, in natural order."""
-    return band.T.reshape(-1)[:n]
+def zero_coupling_bands(rng, n):
+    """random_bands with lower[100:110] = 0: ten rows coupled to no row above."""
+    lower, diag, upper, rhs = random_bands(rng, n)
+    lower[100:110] = 0.0
+    return lower, diag, upper, rhs
+
+
+def dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
 
 
 def bits(values):
@@ -175,9 +181,8 @@ class TestSolveTridiagonal:
         rng = np.random.default_rng(61)
         for _ in range(5):
             lower, diag, upper, rhs = random_bands(rng, 64)
-            a = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
             x = solve_tridiagonal(lower, diag, upper, rhs)
-            assert np.max(np.abs(x - np.linalg.solve(a, rhs))) < 1e-10
+            assert np.max(np.abs(x - np.linalg.solve(dense(lower, diag, upper), rhs))) < 1e-10
 
     def test_zero_pivot(self):
         with pytest.raises(ValueError):
@@ -191,7 +196,8 @@ class TestSolveTridiagonal:
                               np.array([1.0, 0.0]), np.ones(2))
 
     def test_zero_pivot_in_a_later_block(self):
-        # row 16 opens the second block; the pivot of row 17 vanishes after eliminating it
+        # rows 16 and 17 are coupled to each other alone; the pivot of row 17
+        # vanishes after eliminating row 16
         n = 40
         lower, upper = np.zeros(n), np.zeros(n)
         upper[16] = lower[17] = 1.0
@@ -207,9 +213,9 @@ class TestSolveTridiagonal:
 
 
 class TestBlockedSubstitution:
-    """The blocked solve against the one-pass Thomas sweep it replaces."""
+    """The factor's prefix-sum solve against the one-pass Thomas sweep it replaces."""
 
-    # around one block, across block edges and at the benchmark's interior sizes
+    # tiny systems and the benchmark's interior sizes
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 64, 1022, 4094])
     def test_solution_matches_one_pass_sweep(self, n):
         lower, diag, upper, rhs = random_bands(np.random.default_rng(n), n)
@@ -222,40 +228,79 @@ class TestBlockedSubstitution:
         lower, diag, upper, rhs = random_bands(np.random.default_rng(n), n)
         factor = fracschrod.solver._ThomasFactor(lower, diag, upper)
         _, pivots, multipliers = one_pass_sweep(lower, diag, upper, rhs)
-        assert np.array_equal(bits(unblocked(factor._pivots, n)), bits(pivots))
-        assert np.array_equal(bits(unblocked(factor._multipliers, n)[:n - 1]), bits(multipliers))
+        assert np.array_equal(bits(factor._pivots), bits(pivots))
+        assert np.array_equal(bits(factor._multipliers[:n - 1]), bits(multipliers))
 
     @pytest.mark.parametrize("n", [17, 33, 1022])
-    def test_block_responses_are_unit_inflow_substitutions(self, n):
-        # forward: the substitution of a zero rhs from a unit inflow down a block;
-        # backward: the same up a block, stored with rows and blocks reversed
+    def test_segment_products_are_running_products(self, n):
+        # forward c = -lower/pivot, its 1/P also dividing by the pivots;
+        # backward c = -multiplier, rows reversed; the ignored lower[0] and
+        # last multiplier read 0
         lower, diag, upper, _ = random_bands(np.random.default_rng(n), n)
         factor = fracschrod.solver._ThomasFactor(lower, diag, upper)
-        # lower as the factor reads it: lower[0] and the padding rows are 0
-        blocked_lower = np.zeros(factor._pivots.shape[::-1], dtype=complex)
-        blocked_lower.reshape(-1)[1:n] = lower[1:]
-        blocked_lower = blocked_lower.T
-        (_, forward, _), (_, backward, _) = factor._sweeps
-        backward = backward[::-1, ::-1]
-        for k in range(factor._pivots.shape[1]):
-            pivots, lowers, multipliers = (band[:, k].tolist() for band in
-                                           (factor._pivots, blocked_lower, factor._multipliers))
-            g, forward_expected = 1.0, []
-            for l, pivot in zip(lowers, pivots):
-                g = (0 - l * g) / pivot
-                forward_expected.append(g)
-            h, backward_expected = 1.0, []
-            for m in reversed(multipliers):
-                h = 0 - m * h
-                backward_expected.append(h)
-            for response, expected in ((forward[:, k], forward_expected),
-                                       (backward[:, k], backward_expected[::-1])):
+        lower[0] = 0.0
+        forward = (-lower / factor._pivots).tolist()
+        backward = (-factor._multipliers[::-1]).tolist()
+        for coef, (products, inverses, segments), divisors in (
+                (forward, factor._forward, factor._pivots), (backward, factor._backward, np.ones(n))):
+            assert [s[0] for s in segments[1:]] == [s[1] for s in segments[:-1]]
+            assert segments[0][0] == 0 and segments[-1][1] == n
+            for start, stop, gain in segments:
+                assert gain == coef[start]
+                running, expected = 1.0, [1.0]
+                for c in coef[start + 1:stop]:
+                    running *= c
+                    expected.append(running)
                 expected = np.array(expected)
-                assert np.max(np.abs(response - expected)) <= 1e-15 * np.max(np.abs(expected))
+                stored = products[start:stop]
+                assert np.all(np.abs(stored - expected) <= 1e-15 * np.abs(expected))
+                assert np.all(np.abs(np.log(np.abs(stored))) <= 300)
+                assert np.array_equal(inverses[start:stop], 1.0 / stored / divisors[start:stop])
+
+    @pytest.mark.parametrize("n", [1022, 4094])
+    def test_split_solve_matches_one_pass_sweep(self, n):
+        # |c| is about 0.3, so the running products leave e^±300 within the rows
+        lower, diag, upper, rhs = random_bands(np.random.default_rng(n), n)
+        factor = fracschrod.solver._ThomasFactor(lower, diag, upper)
+        assert len(factor._forward[2]) >= 2 and len(factor._backward[2]) >= 2
+        x = factor.solve(rhs, np.empty(n, dtype=complex))
+        reference = one_pass_thomas(lower, diag, upper, rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_zero_couplings_match_dense_solver(self):
+        lower, diag, upper, rhs = zero_coupling_bands(np.random.default_rng(11), 400)
+        x = solve_tridiagonal(lower, diag, upper, rhs)
+        expected = np.linalg.solve(dense(lower, diag, upper), rhs)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_scaled_rhs_gives_scaled_solution(self, scale):
+        lower, diag, upper, rhs = zero_coupling_bands(np.random.default_rng(13), 1022)
+        expected = scale * solve_tridiagonal(lower, diag, upper, rhs)
+        x = solve_tridiagonal(lower, diag, upper, scale * rhs)
+        assert np.all(np.isfinite(x))
+        assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_nan_rhs_reaches_every_row_across_zero_couplings(self):
+        # the NaN enters above the zero couplings, so the forward sweep carries
+        # it down only through their zero gains
+        lower, diag, upper, rhs = zero_coupling_bands(np.random.default_rng(17), 400)
+        rhs[50] = np.nan
+        assert np.all(np.isnan(solve_tridiagonal(lower, diag, upper, rhs)))
+
+    @pytest.mark.parametrize("kind", ["harmonic_shifted", "delta_squared"])
+    @pytest.mark.parametrize("n, dt", [(1024, DT), (4096, DT), (16384, DT), (4096, DT / 8)])
+    def test_crank_nicolson_factor_is_one_segment(self, kind, n, dt):
+        # the running products decay by about 100 nats over the interior at DT
+        # and by about 275 at DT / 8, within e^±300 in one segment
+        grid = make_grid(0.0, 10.0, n)
+        p = potential(kind, eps=0.035, grid=grid)
+        stepper = fracschrod.solver._CrankNicolson(grid, p.field.values, dt, FractionalOrder(1.0))
+        assert len(stepper._factor._forward[2]) == len(stepper._factor._backward[2]) == 1
 
     @pytest.mark.parametrize("n", [17, 1022])
     def test_non_finite_rhs_does_not_reach_the_next_solve(self, n):
-        # both sizes end in padding rows, which a NaN solve fills with NaN
+        # a NaN solve fills every row of out with NaN; the factor must keep none of it
         lower, diag, upper, rhs = random_bands(np.random.default_rng(n), n)
         factor = fracschrod.solver._ThomasFactor(lower, diag, upper)
         x = factor.solve(rhs, np.empty(n, dtype=complex))
