@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 from .harness import (
     POTENTIAL_TAGS,
+    REFERENCES,
     ExperimentConfig,
     check_figure,
     consistency_experiment,
@@ -223,7 +224,7 @@ SETTINGS = {
     "t-end": Setting(float, SolverConfig.t_end, help="final time"),
     "m": Setting(float, 2.0, ("uniqueness",), "perturbation exponent"),
     "figure": Setting(_Choice(FIGURES + ("all",)), None, ("figures",), "which figure to emit"),
-    "reference": Setting(_Choice(("fine", "matched")), "fine", ("consistency",),
+    "reference": Setting(_Choice(REFERENCES), "fine", ("consistency",),
                          "reference run: refined exact solve or same resolution"),
 }
 

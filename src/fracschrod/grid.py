@@ -22,6 +22,7 @@ __all__ = [
     "l2_norm",
     "hs_seminorm",
     "require_same_grid",
+    "require_inside",
 ]
 
 
@@ -125,6 +126,14 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
 def require_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
+
+
+def require_inside(grid: Grid, center: float, radius: float, what: str) -> None:
+    """Raise unless [center - radius, center + radius] lies in the domain; ends may touch."""
+    # a bump cut by an end would jump across the periodic seam
+    if center - radius < grid.x_min or center + radius > grid.x_max:
+        raise ValueError(f"{what} support [{center - radius}, {center + radius}] falls "
+                         f"outside the domain [{grid.x_min}, {grid.x_max})")
 
 
 def l2_norm(f) -> float:

@@ -38,11 +38,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, l2_norm, make_grid
+from .grid import ComplexField, Grid, RealField, l2_norm, make_grid, require_inside
 from .mollifier import (
     REGULAR_KINDS,
     PotentialSpec,
     RegularizedPotential,
+    _check_epsilon,
     bump,
     mollify_samples,
     moderateness_exponent,
@@ -54,6 +55,7 @@ from .solver import SolverConfig, Trajectory, initial_datum, simulate, step_plan
 
 __all__ = [
     "DEFAULT_EPSILONS",
+    "REFERENCES",
     "ExperimentConfig",
     "SweepRecord",
     "SweepReport",
@@ -129,8 +131,7 @@ class ExperimentConfig:
         if not eps:
             raise ValueError("need at least one width")
         for e in eps:
-            if not (np.isfinite(e) and 0 < e <= 1):
-                raise ValueError(f"widths must lie in (0, 1], got {e}")
+            _check_epsilon(e)
         if len(set(eps)) != len(eps):
             raise ValueError("widths must be distinct")
         object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
@@ -261,16 +262,8 @@ def epsilon_sweep(cfg: ExperimentConfig) -> SweepReport:
 
 
 def default_perturbation(grid: Grid, center: float) -> RealField:
-    """Unit-height smooth bump supported on (center - 1, center + 1).
-
-    The support must lie inside the domain: a bump cut at an end would jump
-    across the periodic seam.
-    """
-    if center - 1 < grid.x_min or center + 1 > grid.x_max:
-        raise ValueError(
-            f"perturbation support [{center - 1}, {center + 1}] falls outside "
-            f"the domain [{grid.x_min}, {grid.x_max})"
-        )
+    """Unit-height smooth bump supported on (center - 1, center + 1), inside the domain."""
+    require_inside(grid, center, 1.0, "perturbation")
     return RealField(grid, np.e * bump(grid.nodes - center))
 
 
@@ -312,6 +305,9 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
     return UniquenessReport(cfg, tuple(distances), decay_rate, residual)
 
 
+REFERENCES = {"fine": (4, 8), "matched": (1, 1)}  # (grid refinement, substeps per step)
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     errors: tuple[float, ...]
@@ -322,28 +318,29 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     """Final-time L2 gap between smoothed-potential runs and the exact one.
 
     Only regular potentials have an exact counterpart to compare against.
-    reference="fine" solves the exact problem at 4x the resolution and an
-    eighth of the step, then restricts to the coarse nodes; "matched" reuses
-    the run resolution, isolating the smoothing error from the scheme error.
+    The exact run takes its REFERENCES entry's grid refinement and substeps
+    per step: "fine" is 4x the resolution at an eighth of the step, restricted
+    to the run's nodes; "matched" isolates the smoothing error from the scheme's.
     """
     if cfg.potential.is_singular:
         raise ValueError(
             "consistency needs a regular potential; the singular kinds have no "
             "unsmoothed counterpart"
         )
-    if reference not in ("fine", "matched"):
-        raise ValueError(f"reference must be 'fine' or 'matched', got {reference!r}")
+    if reference not in REFERENCES:
+        raise ValueError(f"reference must be {' or '.join(map(repr, REFERENCES))}, "
+                         f"got {reference!r}")
     grid = cfg.grid
     # only final states are compared, and a kept final state keeps its run's
     # whole record array alive: record nothing in between
     solver = replace(cfg.solver, record_every=10**9)
 
-    fine = reference == "fine"
-    ref_grid = make_grid(cfg.x_min, cfg.x_max, 4 * cfg.n) if fine else grid
-    ref_solver = replace(solver, dt=solver.dt / 8.0) if fine else solver
+    refine, substeps = REFERENCES[reference]
+    ref_grid = make_grid(cfg.x_min, cfg.x_max, refine * cfg.n)
+    ref_solver = replace(solver, dt=solver.dt / substeps)
     exact = regularize_potential(cfg.potential, ref_grid, cfg.epsilons[0])
     ref_final = simulate(initial_datum(ref_grid), exact, ref_solver).states[-1]
-    ref_values = ref_final.values[::4] if fine else ref_final.values  # on the run's nodes
+    ref_values = ref_final.values[::refine]  # on the run's nodes
 
     def error(epsilon: float) -> float:
         smoothed = regularize_potential(cfg.potential, grid, epsilon, mollify_regular=True)

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, _readonly, require_same_grid
+from .grid import ComplexField, Grid, RealField, _readonly, require_inside, require_same_grid
 from .mollifier import PACKET_CENTER, RegularizedPotential, bump
 from .observables import state_observables
 from .operators import FractionalOrder
@@ -161,11 +161,7 @@ class Trajectory:
 
 def initial_datum(grid: Grid) -> ComplexField:
     """The compact smooth packet exp(1/((x-5)^2 - 1/4)) on |x - 5| < 1/2."""
-    if grid.x_min > PACKET_CENTER - PACKET_HALF_WIDTH or grid.x_max < PACKET_CENTER + PACKET_HALF_WIDTH:
-        raise ValueError(
-            f"domain [{grid.x_min}, {grid.x_max}) does not cover the packet support "
-            f"[{PACKET_CENTER - PACKET_HALF_WIDTH}, {PACKET_CENTER + PACKET_HALF_WIDTH}]"
-        )
+    require_inside(grid, PACKET_CENTER, PACKET_HALF_WIDTH, "packet")
     return ComplexField(grid, bump(grid.nodes - PACKET_CENTER, PACKET_HALF_WIDTH))
 
 

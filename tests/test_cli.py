@@ -19,7 +19,7 @@ from fracschrod.cli import (
     read_config_file,
     resolve_settings,
 )
-from fracschrod.harness import ExperimentConfig
+from fracschrod.harness import REFERENCES, ExperimentConfig
 from fracschrod.mollifier import PotentialSpec
 from fracschrod.solver import NumericalAbort, SolverConfig
 
@@ -58,6 +58,16 @@ MANIFEST_KEYS = {
 def test_command_enums():
     assert BACKEND_MAP == {"cn": "crank_nicolson", "spectral": "spectral_strang"}
     assert set(POTENTIAL_MAP) == {"zero", "one", "harmonic", "delta", "delta2"}
+
+
+def test_reference_choices_are_the_harness_table():
+    assert tuple(cli.SETTINGS["reference"].parse) == tuple(REFERENCES)
+
+
+def test_bad_width_reads_the_mollifier_rule(tmp_path, capsys):
+    assert main(["sweep", "--eps", "0.4,1.5", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: regularization width must lie in (0, 1], got 1.5\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_subcommand_is_usage_error(tmp_path, monkeypatch):

@@ -8,8 +8,11 @@ from fracschrod.grid import (
     hs_seminorm,
     l2_norm,
     make_grid,
+    require_inside,
     require_same_grid,
 )
+from fracschrod.harness import default_perturbation
+from fracschrod.mollifier import PotentialSpec, regularize_potential, scaled_mollifier
 from fracschrod.solver import initial_datum
 
 # independently derived reference values for the compactly supported
@@ -182,3 +185,31 @@ class TestWavenumberPower:
     def test_rejects_bad_order(self, s):
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, 64).wavenumber_power(s)
+
+
+class TestRequireInside:
+    GRID = make_grid(2.0, 4.0, 64)
+
+    def test_support_touching_both_ends_passes(self):
+        require_inside(self.GRID, 3.0, 1.0, "bump")
+
+    @pytest.mark.parametrize("center", [2.9, 3.1])
+    def test_support_crossing_an_end_is_rejected(self, center):
+        with pytest.raises(ValueError) as err:
+            require_inside(self.GRID, center, 1.0, "probe")
+        a, b = center - 1.0, center + 1.0
+        assert str(err.value) == (f"probe support [{a}, {b}] falls outside "
+                                  f"the domain [2.0, 4.0)")
+
+    # every bump placed on the grid goes through the one check
+    @pytest.mark.parametrize("place, what", [
+        (lambda g: scaled_mollifier(g, 0.5, center=1.8), "bump support"),
+        (lambda g: regularize_potential(PotentialSpec("delta"), g, 0.5), "bump support"),
+        (lambda g: regularize_potential(PotentialSpec("delta_squared"), g, 0.5), "bump support"),
+        (lambda g: initial_datum(g), "packet support"),
+        (lambda g: default_perturbation(g, 3.0), "perturbation support"),
+    ])
+    def test_callers_name_their_bump(self, place, what):
+        grid = make_grid(2.8, 4.8, 256)  # cuts spike and perturbation at 2.8, packet at 4.8
+        with pytest.raises(ValueError, match=f"^{what} .* falls outside the domain"):
+            place(grid)

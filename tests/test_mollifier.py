@@ -6,6 +6,7 @@ from fracschrod.grid import RealField, make_grid
 from fracschrod.mollifier import (
     PotentialSpec,
     RegularizedPotential,
+    bump,
     bump_normalization,
     friedrichs_mollifier,
     moderateness_exponent,
@@ -27,6 +28,13 @@ SITE_GRID = make_grid(2.0, 4.0, 2048)
 def test_normalization_constant():
     assert bump_normalization() == pytest.approx(NORM_CONST, rel=1e-10)
     assert abs(bump_normalization() - 2.2523) < 5e-4
+
+
+def test_normalization_is_the_gauss_legendre_value_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(200)
+    assert bump_normalization() == 1.0 / float(weights @ bump(nodes))
 
 
 def test_kernel_peak_and_support():
