@@ -33,7 +33,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nodes on [x_min, x_max) with periodic identification."""
+    """Uniform nodes on [x_min, x_max) with periodic identification.
+
+    n is a power of two, so it also splits exactly as R x C with R and C
+    powers of two (R = 2^floor(log2(n)/2), C = n/R), the split the Strang
+    stepper's four-step FFT uses at large n.
+    """
 
     x_min: float
     x_max: float

@@ -420,21 +420,61 @@ class TestSplitStepKernel:
         p = potential("delta_squared", eps=0.05, grid=grid)
         return grid, fracschrod.solver._SplitStep(grid, p.field.values, DT, FractionalOrder(s))
 
-    # n = 16384 is where numpy elides temporaries of an unnamed expression
+    @staticmethod
+    def four_step_free_flow(stepper, a):
+        """The four-step F^-1 K F as named temporaries on the (R, C) view."""
+        twiddle, conj_twiddle = stepper._twiddles
+        b = np.fft.fft(a.reshape(twiddle.shape), axis=0)
+        c = twiddle * b
+        d = np.fft.fft(c, axis=1)
+        e = stepper._kinetic * d
+        f = np.fft.ifft(e, axis=1)
+        g = conj_twiddle * f
+        return np.fft.ifft(g, axis=0).reshape(a.shape)
+
+    # n = 16384 is where numpy elides temporaries of an unnamed expression,
+    # and it takes the four-step free flow; 1024 and 4096 take the single FFT
     @pytest.mark.parametrize("s", [0.75, 1.0])
     @pytest.mark.parametrize("n", [1024, 4096, 16384])
     def test_step_equals_named_temporaries(self, n, s):
         grid, stepper = self.stepper(n, s)
         hp, kin = stepper._half_phase, stepper._kinetic
+        assert (stepper._twiddles is None) == (n <= 4096)  # the size rule
         v = initial_datum(grid).values
         for _ in range(30):
             a = hp * v
-            b = np.fft.fft(a)
-            c = kin * b
-            d = np.fft.ifft(c)
+            if stepper._twiddles is None:
+                b = np.fft.fft(a)
+                c = kin * b
+                d = np.fft.ifft(c)
+            else:
+                d = self.four_step_free_flow(stepper, a)
             expected = hp * d
             v = stepper.step(v, np.empty_like(v))
             assert np.array_equal(v, expected)
+
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    def test_four_step_matches_single_fft(self, n):
+        grid, stepper = self.stepper(n)
+        assert stepper._twiddles is not None
+        rows, cols = stepper._twiddles[0].shape
+        assert rows * cols == n and cols in (rows, 2 * rows)
+        hp = stepper._half_phase
+        kin = np.exp(-1j * DT * grid.wavenumber_power(2.0))
+        v = ref = initial_datum(grid).values
+        for _ in range(30):
+            v = stepper.step(v, np.empty_like(v))
+            ref = hp * np.fft.ifft(kin * np.fft.fft(hp * ref))
+        assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_twiddles_are_shared_and_read_only(self):
+        (_, first), (_, second) = self.stepper(16384), self.stepper(16384, 0.75)
+        assert first._twiddles[0] is second._twiddles[0]
+        twiddle, conj_twiddle = first._twiddles
+        k1, n2 = np.indices(twiddle.shape)
+        assert np.allclose(twiddle, np.exp(-2j * np.pi * k1 * n2 / 16384), rtol=0, atol=1e-15)
+        assert np.array_equal(conj_twiddle, twiddle.conj())
+        assert not twiddle.flags.writeable and not conj_twiddle.flags.writeable
 
     def test_step_allocates_nothing(self):
         n = 16384
@@ -525,6 +565,16 @@ class TestSimulate:
         tr = simulate(u, potential("zero"), cfg)
         exact = free_propagator(u, 0.214, FractionalOrder(1.0))
         assert gap(tr.states[-1], exact) < 1e-12
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_four_step_free_run_matches_exact_flow(self, s):
+        grid = make_grid(0.0, 10.0, 16384)
+        u, order = initial_datum(grid), FractionalOrder(s)
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.3, order=order,
+                           record_every=10**9)
+        tr = simulate(u, potential("zero", grid=grid), cfg)
+        assert tr.times[-1] == 0.3 and len(tr.times) == 2  # 28 steps and a shortened one
+        assert gap(tr.states[-1], free_propagator(u, 0.3, order)) <= 1e-12
 
     def test_zero_datum_stays_zero(self):
         u = ComplexField(GRID, np.zeros(GRID.n, dtype=complex))
@@ -635,6 +685,25 @@ class TestSimulate:
             simulate(initial_datum(GRID), potential("zero"), cfg)
         assert err.value.step == 1
         assert np.isfinite(err.value.worst)
+
+    def test_nan_entering_a_four_step_run_aborts_at_that_step(self, monkeypatch):
+        original = fracschrod.solver._SplitStep.step
+        outputs = []
+
+        def step(self, values, out):
+            if len(outputs) == 2:
+                values = np.array(values)
+                values[700] = np.nan
+            outputs.append(original(self, values, out).copy())
+            return out
+
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", step)
+        grid = make_grid(0.0, 10.0, 16384)
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214)
+        with pytest.raises(NumericalAbort) as err:
+            simulate(initial_datum(grid), potential("zero", grid=grid), cfg)
+        assert err.value.step == 3
+        assert np.all(np.isnan(outputs[-1]))
 
     def test_abort_in_shortened_last_step(self, monkeypatch):
         original = fracschrod.solver._SplitStep.step

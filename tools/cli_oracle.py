@@ -85,6 +85,11 @@ INVOCATIONS = [
     ["--nx", "256", "simulate"],
     ["--help"],
     ["figures", "--help"],
+    # n >= 8192, where Strang's free flow is a four-step FFT: a run, and the
+    # fine reference (4x nodes) of a consistency check
+    ["simulate", "--backend", "spectral", "--nx", "16384", "--eps", "0.035",
+     "--potential", "delta2"],
+    ["consistency", "--backend", "spectral", "--nx", "2048"],
 ]
 CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n",
                 "eps.cfg": "eps = 0.3\n"}
