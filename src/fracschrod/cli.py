@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines, each key at most once; blank lines and # comments are skipped."""
     mapping: dict[str, str] = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -273,6 +273,8 @@ def read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in SETTINGS:
                 raise ValueError(f"{path}:{line_no}: unknown setting {key!r}")
+            if key in mapping:
+                raise ValueError(f"{path}:{line_no}: setting {key!r} given a second time")
             mapping[key] = value.strip()
     return mapping
 

@@ -33,12 +33,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nodes on [x_min, x_max) with periodic identification.
-
-    n is a power of two, so it also splits exactly as R x C with R and C
-    powers of two (R = 2^floor(log2(n)/2), C = n/R), the split the Strang
-    stepper's four-step FFT uses at large n.
-    """
+    """Uniform nodes on [x_min, x_max) with periodic identification; n is a power of two."""
 
     x_min: float
     x_max: float
@@ -83,7 +78,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class _Field:
-    """Samples of the class's dtype on a grid, checked finite and frozen."""
+    """Samples of the class's dtype on a grid, checked finite and frozen.
+
+    An array that already has the class's dtype becomes values itself, not
+    a copy, and is frozen in place, so the caller's array turns read-only;
+    any other input (a list, a float array for ComplexField) is converted
+    into a new array and the caller's stays writeable.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -98,7 +99,11 @@ class _Field:
 
 
 class ComplexField(_Field):
-    """Complex samples on a grid.  Values are frozen after construction."""
+    """Complex samples on a grid.  Values are frozen after construction.
+
+    A complex array is frozen in place and kept as the values; a float
+    array is copied into a new complex one (see _Field).
+    """
 
     _dtype = complex
 

@@ -341,6 +341,18 @@ class TestConfigFile:
         parsed = read_config_file(str(cfg))
         assert parsed == {"mollify-data": "yes", "domain": "0,10"}
 
+    def test_rejects_repeated_key(self, tmp_path, capsys):
+        # the run would otherwise take the last line silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.3\n# the smaller width\neps = 0.05\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:3: setting 'eps' given a second time\n"
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError, match=":3: setting 'eps'"):
+            read_config_file(str(cfg))
+
     def test_rejects_line_without_equals(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nx 256\n")

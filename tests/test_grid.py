@@ -101,6 +101,24 @@ class TestFields:
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
+    @pytest.mark.parametrize("cls, dtype", [(ComplexField, complex), (RealField, float)])
+    def test_array_of_the_field_dtype_is_kept_and_frozen(self, cls, dtype):
+        g = make_grid(0.0, 1.0, 16)
+        a = np.ones(16, dtype=dtype)
+        f = cls(g, a)
+        assert f.values is a
+        assert not a.flags.writeable
+
+    def test_float_array_is_copied_into_a_complex_field(self):
+        g = make_grid(0.0, 1.0, 16)
+        a = np.ones(16)
+        f = ComplexField(g, a)
+        assert f.values is not a and not np.shares_memory(f.values, a)
+        assert f.values.dtype == complex and not f.values.flags.writeable
+        assert a.flags.writeable
+        a[0] = 2.0
+        assert f.values[0] == 1.0
+
     def test_require_same_grid(self):
         a = ComplexField(make_grid(0.0, 1.0, 16), np.ones(16, dtype=complex))
         b = ComplexField(make_grid(0.0, 2.0, 16), np.ones(16, dtype=complex))

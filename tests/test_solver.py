@@ -673,14 +673,15 @@ class TestSimulate:
                 u.values[0] = 1.0
 
     @pytest.mark.parametrize("bad", ["inf_real", "nan_imag"])
-    def test_one_bad_component_aborts(self, monkeypatch, bad):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_bad_component_aborts(self, monkeypatch, backend, bad):
         def bad_step(self, values, out):
             out[...] = values
             out[700] = complex(np.inf, 0.0) if bad == "inf_real" else complex(1e-3, np.nan)
             return out
 
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", bad_step)
-        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214)
+        monkeypatch.setattr(fracschrod.solver._STEPPERS[backend], "step", bad_step)
+        cfg = SolverConfig(backend=backend, dt=DT, t_end=0.214)
         with pytest.raises(NumericalAbort) as err:
             simulate(initial_datum(GRID), potential("zero"), cfg)
         assert err.value.step == 1
@@ -737,19 +738,43 @@ class TestSimulate:
         assert len(tr.states) == 3
         assert np.all(tr.states[-1].values == huge)
 
-    def test_nan_state_aborts_with_diagnostics(self, monkeypatch):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nan_state_aborts_with_diagnostics(self, monkeypatch, backend):
         def bad_step(self, values, out):
             return np.multiply(values, np.nan, out=out)
 
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", bad_step)
+        monkeypatch.setattr(fracschrod.solver._STEPPERS[backend], "step", bad_step)
         u = initial_datum(GRID)
-        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214)
+        cfg = SolverConfig(backend=backend, dt=DT, t_end=0.214)
         with pytest.raises(NumericalAbort) as err:
             simulate(u, potential("zero", eps=0.3), cfg)
         assert err.value.step == 1
         assert err.value.time == pytest.approx(DT)
         assert np.isfinite(err.value.worst)
         assert err.value.epsilon == 0.3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worst_is_the_largest_component_before_the_abort(self, monkeypatch, backend):
+        # a rotated datum, so no state's largest |Re| or |Im| reaches the peak modulus
+        u = ComplexField(GRID, np.exp(0.25j * np.pi) * initial_datum(GRID).values)
+        p = potential("delta", eps=0.05)
+        cfg = SolverConfig(backend=backend, dt=DT, t_end=2 * DT, record_every=1)
+        before = simulate(u, p, cfg).values  # the datum and the first two states
+        original, calls = fracschrod.solver._STEPPERS[backend].step, []
+
+        def step(self, values, out):
+            calls.append(1)
+            original(self, values, out)
+            if len(calls) == 3:
+                out[700] = np.nan
+            return out
+
+        monkeypatch.setattr(fracschrod.solver._STEPPERS[backend], "step", step)
+        with pytest.raises(NumericalAbort) as err:
+            simulate(u, p, replace(cfg, t_end=0.214))
+        assert err.value.step == 3
+        assert err.value.worst == np.max(np.abs(before.view(float)))
+        assert err.value.worst < np.max(np.abs(before))
 
     def test_apriori_bound_on_regular_potentials(self):
         # sup_t ||u(t)|| <= C (1 + sup|p|) ||u0|| with one modest constant
@@ -763,6 +788,42 @@ class TestSimulate:
             sup_traj = max(composite_norm(s, order) for s in tr.states)
             worst = max(worst, sup_traj / ((1 + sup_norm(p.field)) * base))
         assert worst <= 10.0
+
+
+class TestAbortRule:
+    def test_aborts_exactly_on_a_non_finite_component(self):
+        rng = np.random.default_rng(28)
+        n, seen = 64, set()
+        for _ in range(4000):
+            # finite parts of both signs, magnitudes log-uniform up to 1.7e308
+            parts = rng.choice([-1.0, 1.0], 2 * n) * 10.0 ** rng.uniform(-300, 308.23, 2 * n)
+            for _ in range(rng.integers(0, 3)):
+                node, part = rng.choice([0, n - 1, rng.integers(n)]), rng.integers(2)
+                bad = rng.choice([np.nan, np.inf, -np.inf])
+                parts[2 * node + part] = bad
+                seen.add((node if node in (0, n - 1) else "inside", part, str(bad)))
+            values = parts.view(complex)
+            try:
+                peak = fracschrod.solver._checked_peak(values, 1, DT, 0.0, 0.05)
+            except NumericalAbort:
+                assert not np.all(np.isfinite(values))
+            else:
+                assert np.all(np.isfinite(values)) and peak == np.max(np.abs(parts))
+        assert len(seen) == 18  # NaN, inf and -inf in either part, at both ends and inside
+
+    def test_check_allocates_nothing(self):
+        n = 16384
+        values = np.array(initial_datum(make_grid(0.0, 10.0, n)).values)
+        check = fracschrod.solver._checked_peak
+        check(values, 1, DT, 0.0, 0.05)  # warm-up
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            check(values, 1, DT, 0.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < n
 
 
 class TestTrajectoryValidation:
