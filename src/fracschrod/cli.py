@@ -129,9 +129,15 @@ def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
     extras = {key: getattr(report, key) for key in (
         "potential_moderateness_n", "potential_residual", "potential_fit_flagged",
         "solution_moderateness_n", "solution_residual", "solution_fit_flagged")}
+
+    def fit(which: str) -> str:  # a flagged slope is no rate: name the residual
+        text = f"{which} growth exponent {_or_na(extras[which + '_moderateness_n'])}"
+        if extras[which + "_fit_flagged"]:
+            text += f" (flagged fit, residual {extras[which + '_residual']:.4f})"
+        return text
+
     return ([_table(out, "sweep.csv", header, rows)], extras,
-            f"sweep: potential growth exponent {_or_na(report.potential_moderateness_n)}, "
-            f"solution growth exponent {_or_na(report.solution_moderateness_n)}")
+            f"sweep: {fit('potential')}, {fit('solution')}")
 
 
 def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):

@@ -15,12 +15,12 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 
 single_run builds one width's run and returns its trajectory, which holds
 the potential samples and, as states[0], the datum; simulate's aborts
-name the width.  Every width runs through it, one at a time, except
-consistency's smoothed runs and uniqueness's shifted run, which call
-simulate.  Each driver keeps only what it reports (a record, a gap, a
-peak, a file name), so at most one width's runs are alive at once.  The
-figures are one table, FIGURE_RUNS, and their snapshot times follow
-simulate's own step plan (solver.step_plan).
+name the width.  Every width runs through it, one at a time, as does
+consistency's refined reference; consistency's smoothed runs and
+uniqueness's shifted run call simulate.  Each driver keeps only what it
+reports (a record, a gap, a peak, a file name), so at most one width's
+runs are alive at once.  The figures are one table, FIGURE_RUNS, and
+their snapshot times follow simulate's own step plan (solver.step_plan).
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
@@ -318,9 +318,10 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     """Final-time L2 gap between smoothed-potential runs and the exact one.
 
     Only regular potentials have an exact counterpart to compare against.
-    The exact run takes its REFERENCES entry's grid refinement and substeps
-    per step: "fine" is 4x the resolution at an eighth of the step, restricted
-    to the run's nodes; "matched" isolates the smoothing error from the scheme's.
+    The exact run is a single_run of cfg, datum unsmoothed, at its REFERENCES
+    entry's grid refinement and substeps per step: "fine" is 4x the resolution
+    at an eighth of the step, restricted to the run's nodes; "matched" isolates
+    the smoothing error from the scheme's.  Each width smooths the exact samples.
     """
     if cfg.potential.is_singular:
         raise ValueError(
@@ -330,29 +331,24 @@ def consistency_experiment(cfg: ExperimentConfig, reference: str = "fine") -> Co
     if reference not in REFERENCES:
         raise ValueError(f"reference must be {' or '.join(map(repr, REFERENCES))}, "
                          f"got {reference!r}")
-    grid = cfg.grid
     # only final states are compared, and a kept final state keeps its run's
     # whole record array alive: record nothing in between
     solver = replace(cfg.solver, record_every=10**9)
 
     refine, substeps = REFERENCES[reference]
-    ref_grid = make_grid(cfg.x_min, cfg.x_max, refine * cfg.n)
-    ref_solver = replace(solver, dt=solver.dt / substeps)
-    exact = regularize_potential(cfg.potential, ref_grid, cfg.epsilons[0])
-    ref_final = simulate(initial_datum(ref_grid), exact, ref_solver).states[-1]
-    ref_values = ref_final.values[::refine]  # on the run's nodes
+    ref_cfg = replace(cfg, n=refine * cfg.n, mollify_data=False,
+                      solver=replace(solver, dt=solver.dt / substeps))
+    ref_values = single_run(ref_cfg, cfg.epsilons[0]).values[-1, ::refine]  # run's nodes
+    exact = regularize_potential(cfg.potential, cfg.grid, cfg.epsilons[0]).field.values
 
     def error(epsilon: float) -> float:
-        smoothed = regularize_potential(cfg.potential, grid, epsilon, mollify_regular=True)
-        datum = prepared_datum(cfg, epsilon)
-        final = simulate(datum, smoothed, solver).states[-1]
-        return l2_norm(ComplexField(grid, final.values - ref_values))
+        smoothed = RealField(cfg.grid, mollify_samples(exact, cfg.grid, epsilon))
+        final = simulate(prepared_datum(cfg, epsilon), RegularizedPotential(epsilon, smoothed),
+                         solver).values[-1]
+        return l2_norm(ComplexField(cfg.grid, final - ref_values))
 
-    # one width's run at a time: its final state dies when error() returns
-    errors = [error(e) for e in cfg.epsilons]
-
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    return ConsistencyReport(tuple(errors), decreasing)
+    errors = [error(e) for e in cfg.epsilons]  # one run at a time: each dies in error()
+    return ConsistencyReport(tuple(errors), all(b < a for a, b in zip(errors, errors[1:])))
 
 
 @dataclass(frozen=True)

@@ -130,14 +130,12 @@ class RegularizedPotential:
             raise ValueError("potential samples must be nonnegative")
 
 
-def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float,
-                         mollify_regular: bool = False) -> RegularizedPotential:
+def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float) -> RegularizedPotential:
     """Sample the potential on the grid.
 
-    Regular kinds are sampled exactly unless mollify_regular is set, in which
-    case they are smoothed by discrete convolution with the scaled bump.
-    Singular kinds are weighted scaled bumps (delta) or their square
-    (delta_squared); their support must sit inside the domain.
+    Regular kinds are sampled exactly.  Singular kinds are weighted scaled
+    bumps (delta) or their square (delta_squared); their support must sit
+    inside the domain and hold at least one node.
     """
     _check_epsilon(epsilon)
     x = grid.nodes
@@ -152,8 +150,8 @@ def regularize_potential(spec: PotentialSpec, grid: Grid, epsilon: float,
         phi = friedrichs_mollifier((x - spec.site) / epsilon)
         values = (spec.weight * phi / epsilon if spec.kind == "delta"
                   else spec.weight * (phi / epsilon) ** 2)
-    if mollify_regular and spec.kind in REGULAR_KINDS:
-        values = mollify_samples(values, grid, epsilon)
+        if not np.any(values):
+            raise ValueError(f"no node within {epsilon:g} of site {spec.site:g}: dx = {grid.dx:g}")
     return RegularizedPotential(epsilon, RealField(grid, values))
 
 

@@ -19,7 +19,7 @@ from fracschrod.cli import (
     read_config_file,
     resolve_settings,
 )
-from fracschrod.harness import REFERENCES, ExperimentConfig
+from fracschrod.harness import REFERENCES, ExperimentConfig, SweepReport
 from fracschrod.mollifier import PotentialSpec
 from fracschrod.solver import NumericalAbort, SolverConfig
 
@@ -378,6 +378,37 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "potential_moderateness_n" in manifest
         assert "growth exponent" in capsys.readouterr().out
+
+    def test_sweep_summary_names_a_flagged_fit(self, tmp_path, capsys):
+        # at dx = 10/64 the spike samples are far from the eps^-1 law
+        rc = main(["sweep", "--out", str(tmp_path), "--nx", "64",
+                   "--dt", "0.0107", "--t-end", "0.0214"])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["potential_fit_flagged"] and not manifest["solution_fit_flagged"]
+        summary = capsys.readouterr().out
+        assert (f"potential growth exponent {manifest['potential_moderateness_n']:.4f} "
+                f"(flagged fit, residual {manifest['potential_residual']:.4f}), ") in summary
+        assert summary.count("flagged") == 1
+
+    @pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
+    def test_sweep_summary_reads_the_report_flags(self, tmp_path, capsys, monkeypatch, flags):
+        # residuals under 0.1 with the flag set: the summary follows the report alone
+        report = SweepReport((), 1.0, 0.05, flags[0], 0.5, 0.02, flags[1])
+        monkeypatch.setattr(cli, "epsilon_sweep", lambda cfg: report)
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+        potential = " (flagged fit, residual 0.0500)" if flags[0] else ""
+        solution = " (flagged fit, residual 0.0200)" if flags[1] else ""
+        assert capsys.readouterr().out == (f"sweep: potential growth exponent 1.0000{potential}, "
+                                           f"solution growth exponent 0.5000{solution}\n")
+
+    @pytest.mark.parametrize("argv", [["simulate", "--eps", "0.035"],
+                                      ["figures", "--figure", "fig3"]])
+    def test_unsampled_spike_is_rejected(self, tmp_path, capsys, argv):
+        # at dx = 0.625 no node lies within 0.035 of site 3
+        rc = main(argv + ["--out", str(tmp_path / "o"), "--nx", "16"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no node within 0.035 of site 3: dx = 0.625\n"
 
     def test_uniqueness(self, tmp_path):
         rc = main(["uniqueness", "--out", str(tmp_path),

@@ -14,6 +14,7 @@ from fracschrod.harness import (
     DENSITY_HEADER,
     FIG1_TIMES,
     FIG5_TIMES,
+    REFERENCES,
     ExperimentConfig,
     config_hash,
     consistency_experiment,
@@ -30,6 +31,7 @@ from fracschrod.harness import (
 from fracschrod.mollifier import (
     PotentialSpec,
     RegularizedPotential,
+    mollify_samples,
     regularize_potential,
 )
 from fracschrod.observables import composite_norm
@@ -254,6 +256,27 @@ class TestConsistency:
         report = consistency_experiment(cfg, reference="matched")
         assert report.strictly_decreasing
         assert report.errors[-1] < report.errors[0]
+
+    @pytest.mark.parametrize("mollify_data", [False, True])
+    @pytest.mark.parametrize("reference", ["fine", "matched"])
+    def test_errors_match_a_hand_built_reference(self, reference, mollify_data):
+        # the reference grid, datum, exact potential and solve, built one by one
+        cfg = quick_config(kind="harmonic_shifted", n=256, mollify_data=mollify_data)
+        refine, substeps = REFERENCES[reference]
+        solver = replace(cfg.solver, record_every=10**9)
+        ref_grid = make_grid(cfg.x_min, cfg.x_max, refine * cfg.n)
+        exact = regularize_potential(cfg.potential, ref_grid, cfg.epsilons[0])
+        ref = simulate(initial_datum(ref_grid), exact, replace(solver, dt=solver.dt / substeps))
+        ref_values = ref.states[-1].values[::refine]
+        expected = []
+        for eps in cfg.epsilons:
+            samples = regularize_potential(cfg.potential, cfg.grid, eps).field.values
+            smoothed = RegularizedPotential(
+                eps, RealField(cfg.grid, mollify_samples(samples, cfg.grid, eps)))
+            final = simulate(prepared_datum(cfg, eps), smoothed, solver).states[-1]
+            expected.append(l2_norm(ComplexField(cfg.grid, final.values - ref_values)))
+        report = consistency_experiment(cfg, reference=reference)
+        assert report.errors == tuple(expected)
 
     @pytest.mark.parametrize("reference", ["fine", "matched"])
     def test_reference_abort_names_the_largest_width(self, monkeypatch, reference):

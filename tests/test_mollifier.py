@@ -154,11 +154,17 @@ class TestRegularizePotential:
         p = regularize_potential(PotentialSpec("harmonic_shifted"), g, 0.3)
         assert np.allclose(p.field.values, (g.nodes - 5.0) ** 2)
 
-    def test_mollified_regular_still_matches_smooth_profile(self):
-        g = make_grid(0.0, 10.0, 1024)
-        p = regularize_potential(PotentialSpec("constant_one"), g, 0.3,
-                                 mollify_regular=True)
-        assert np.max(np.abs(p.field.values - 1.0)) < 1e-12
+    @pytest.mark.parametrize("kind", ["delta", "delta_squared"])
+    def test_spike_between_nodes_is_rejected(self, kind):
+        # dx = 0.625: the node nearest site 3, 3.125, lies outside width 0.035
+        g = make_grid(0.0, 10.0, 16)
+        with pytest.raises(ValueError, match=r"^no node within 0\.035 of site 3: dx = 0\.625$"):
+            regularize_potential(PotentialSpec(kind), g, 0.035)
+
+    def test_spike_on_one_node_is_accepted(self):
+        g = make_grid(0.0, 10.0, 16)  # node 3.125 lies inside width 0.2 of site 3
+        p = regularize_potential(PotentialSpec("delta"), g, 0.2)
+        assert np.count_nonzero(p.field.values) == 1
 
     def test_delta_peak_value(self):
         p = regularize_potential(PotentialSpec("delta"), SITE_GRID, 0.05)

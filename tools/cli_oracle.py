@@ -90,6 +90,9 @@ INVOCATIONS = [
     ["simulate", "--backend", "spectral", "--nx", "16384", "--eps", "0.035",
      "--potential", "delta2"],
     ["consistency", "--backend", "spectral", "--nx", "2048"],
+    # a sweep whose potential fit is flagged, and a spike no grid node samples
+    ["sweep", "--nx", "64"],
+    ["simulate", "--eps", "0.035", "--nx", "16"],
 ]
 CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n",
                 "eps.cfg": "eps = 0.3\n"}
