@@ -10,9 +10,10 @@ parser, so an invalid value is reported the same way from either.  Flags
 are never abbreviated.  One table, COMMANDS, gives each subcommand its
 runner and the defaults it sets over the settings' own.
 
-Each command writes its tables and returns its file names, the headline
-numbers for the manifest and a one-line summary; main writes manifest.json
-and prints the summary.  Exit codes:
+Each command, figures included, writes its tables and returns their names,
+the headline numbers for the manifest and a one-line summary; main writes
+out/manifest.json and prints the summary.  A failed command writes no
+manifest, and no directory before its first table.  Exit codes:
 
 * 0: success
 * 2: a malformed command line (unknown flag, missing value, ...) or invalid
@@ -93,8 +94,7 @@ class _Choice(tuple):
 
 
 def _table(out: str, name: str, header, rows) -> str:
-    """Write one CSV table into out, creating out if needed; returns the name."""
-    os.makedirs(out, exist_ok=True)
+    """Write one CSV table into out; returns the name."""
     write_csv(os.path.join(out, name), header, rows)
     return name
 
@@ -160,18 +160,19 @@ def cmd_consistency(cfg: ExperimentConfig, settings: dict, out: str):
 
 
 def cmd_figures(cfg: ExperimentConfig, settings: dict, out: str):
-    """emit_figure_data writes each figure's manifest, so main writes none."""
+    """With --figure all, each figure's tables go to out/figN, listed as figN/name."""
     figure = settings["figure"]
     if figure is None:
         raise ValueError("figures needs --figure (fig1..fig5 or all)")
+    extras = {"figure": figure}
     if figure == "all":
         for name in FIGURES:  # check them all first, so a bad dt writes nothing
             check_figure(cfg, name)
-        for name in FIGURES:
-            emit_figure_data(cfg, name, os.path.join(out, name))
-        return None, None, f"figures: wrote {len(FIGURES)} figure directories under {out}"
-    payload = emit_figure_data(cfg, figure, out)
-    return None, None, f"figures: wrote {len(payload['files'])} tables for {figure} to {out}"
+        files = [f"{name}/{table}" for name in FIGURES
+                 for table in emit_figure_data(cfg, name, os.path.join(out, name))]
+        return files, extras, f"figures: wrote {len(FIGURES)} figure directories under {out}"
+    files = emit_figure_data(cfg, figure, out)
+    return files, extras, f"figures: wrote {len(files)} tables for {figure} to {out}"
 
 
 def cmd_energy_scaling(cfg: ExperimentConfig, settings: dict, out: str):
@@ -196,8 +197,7 @@ COMMANDS = {
     "uniqueness": Command(cmd_uniqueness, {"t-end": 0.214}),
     "consistency": Command(cmd_consistency, {"eps": (0.8, 0.4, 0.2, 0.1), "t-end": 0.214,
                                              "potential": "harmonic", "backend": "spectral"}),
-    # eps only keeps default figure manifests on their hash; FIGURE_RUNS fixes the widths
-    "figures": Command(cmd_figures, {"eps": (0.05,)}),
+    "figures": Command(cmd_figures, {}),
     "energy-scaling": Command(cmd_energy_scaling, {"potential": "delta2"}),
 }
 
@@ -355,8 +355,7 @@ def main(argv=None) -> int:
         cfg = build_experiment(settings)
         out = settings["out"]
         files, extras, summary = COMMANDS[args.command].run(cfg, settings, out)
-        if files is not None:
-            write_manifest(out, cfg, args.command, files, **extras)
+        write_manifest(out, cfg, args.command, files, **extras)
         print(summary)
         return 0
     except NumericalAbort as exc:

@@ -9,7 +9,7 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 * consistency_experiment: smooth a regular potential and compare against the
   unsmoothed reference as the width shrinks.
 * emit_figure_data: write the density and energy tables behind the standard
-  plots.
+  plots; returns their names.
 * delta_squared_energy_scaling: track the largest energy per width for the
   squared-bump model.
 
@@ -23,8 +23,9 @@ runs are alive at once.  The figures are one table, FIGURE_RUNS, and
 their snapshot times follow simulate's own step plan (solver.step_plan).
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
-shortest round-trip repr.  Run metadata (config digest, timestamp) goes into
-manifest.json next to the tables, never into the CSVs or the reports.
+shortest round-trip repr; write_csv makes its table's directory.  Run
+metadata (config digest, timestamp) goes into manifest.json next to the
+tables (cli.main writes it), never into the CSVs or the reports.
 """
 
 from __future__ import annotations
@@ -391,15 +392,16 @@ def _cell(value) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Plain CSV, LF endings, shortest round-trip floats."""
+    """Plain CSV, LF endings, shortest round-trip floats; creates path's directory."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def write_manifest(out: str, cfg: ExperimentConfig, command: str, files, **extra) -> dict:
-    """Write and return out/manifest.json: the command, config digest, time and files."""
+def write_manifest(out: str, cfg: ExperimentConfig, command: str, files, **extra) -> None:
+    """Write out/manifest.json: the command, config digest, time and files."""
     payload = {
         "command": command,
         "config_hash": config_hash(cfg),
@@ -410,7 +412,6 @@ def write_manifest(out: str, cfg: ExperimentConfig, command: str, files, **extra
     with open(os.path.join(out, "manifest.json"), "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return payload
 
 
 def density_rows(state: ComplexField):
@@ -461,15 +462,14 @@ def check_figure(cfg: ExperimentConfig, figure: str) -> None:
                              f"is shorter than dt {cfg.solver.dt:g}")
 
 
-def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
-    """Write the CSV tables behind one standard figure; returns the manifest.
+def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> list[str]:
+    """Write the CSV tables behind one standard figure into out; returns their names.
 
     The potential family and widths are fixed per figure by FIGURE_RUNS;
     the grid, solver backend, step and datum smoothing come from cfg.  Every
     run records every step.
     """
     check_figure(cfg, figure)
-    os.makedirs(out, exist_ok=True)
     dense = replace(cfg.solver, record_every=1)
     densities, energies = FIGURE_RUNS[figure]
     files: list[str] = []
@@ -485,5 +485,4 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> dict:
             # bind no name to the run, so it dies before the next one starts
             write_csv(os.path.join(out, files[-1]), ENERGY_HEADER,
                       energy_rows(single_run(run_cfg, epsilon)))
-
-    return write_manifest(out, cfg, f"figures:{figure}", files, figure=figure)
+    return files

@@ -19,7 +19,7 @@ from fracschrod.cli import (
     read_config_file,
     resolve_settings,
 )
-from fracschrod.harness import REFERENCES, ExperimentConfig, SweepReport
+from fracschrod.harness import FIGURES, REFERENCES, ExperimentConfig, SweepReport, config_hash
 from fracschrod.mollifier import PotentialSpec
 from fracschrod.solver import NumericalAbort, SolverConfig
 
@@ -359,6 +359,10 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             read_config_file(str(cfg))
 
+    def test_rejects_empty_width_list(self):
+        with pytest.raises(ValueError, match=r"^empty widths in ' , '$"):
+            SETTINGS["eps"].parse(" , ")
+
     def test_rejects_one_ended_domain(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("domain = 0\n")
@@ -409,6 +413,8 @@ class TestOtherCommands:
         rc = main(argv + ["--out", str(tmp_path / "o"), "--nx", "16"])
         assert rc == 2
         assert capsys.readouterr().err == "error: no node within 0.035 of site 3: dx = 0.625\n"
+        # the first table makes the output directory, and no table was written
+        assert not (tmp_path / "o").exists()
 
     def test_uniqueness(self, tmp_path):
         rc = main(["uniqueness", "--out", str(tmp_path),
@@ -472,8 +478,38 @@ class TestOtherCommands:
                    "--nx", "256", "--t-end", "0.214"])
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "figures"
         assert manifest["figure"] == "fig3"
+        # figures sets nothing over the defaults; FIGURE_RUNS picks its widths
+        expected = ExperimentConfig(n=256, solver=SolverConfig(t_end=0.214))
+        assert manifest["config_hash"] == config_hash(expected)
         assert len(manifest["files"]) == 4
+        assert sorted(manifest["files"] + ["manifest.json"]) == sorted(os.listdir(tmp_path))
+
+    def test_figures_all_writes_one_manifest(self, tmp_path):
+        assert main(["figures", "--out", str(tmp_path), "--figure", "all", "--nx", "256"]) == 0
+        assert list(tmp_path.rglob("manifest.json")) == [tmp_path / "manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["figure"] == "all"
+        tables = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv"))
+        assert len(tables) == 33
+        assert manifest["files"] == tables
+        assert {name.split("/")[0] for name in tables} == set(FIGURES)
+        assert all(name.count("/") == 1 for name in tables)
+
+    def test_failed_figures_all_keeps_its_tables_but_writes_no_manifest(
+            self, tmp_path, monkeypatch):
+        original = cli.emit_figure_data
+
+        def abort_at_fig3(cfg, figure, out):
+            if figure == "fig3":
+                raise NumericalAbort(1, 0.0107, 1.0, 0.035)
+            return original(cfg, figure, out)
+
+        monkeypatch.setattr(cli, "emit_figure_data", abort_at_fig3)
+        assert main(["figures", "--out", str(tmp_path), "--figure", "all", "--nx", "256"]) == 3
+        assert sorted(os.listdir(tmp_path)) == ["fig1", "fig2"]
+        assert not list(tmp_path.rglob("manifest.json"))
 
     def test_energy_scaling_zero_potential_ratio_one(self, tmp_path, capsys):
         rc = main(["energy-scaling", "--out", str(tmp_path), "--potential", "zero",

@@ -71,6 +71,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, 4)
 
+    @pytest.mark.parametrize("x_min, x_max", [(float("nan"), 10.0), (0.0, float("inf"))])
+    def test_rejects_non_finite_endpoint(self, x_min, x_max):
+        with pytest.raises(ValueError, match="^grid endpoints must be finite$"):
+            make_grid(x_min, x_max, 16)
+
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             make_grid(5.0, 5.0, 16)

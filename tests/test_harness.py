@@ -1,4 +1,3 @@
-import json
 import os
 import weakref
 from dataclasses import replace
@@ -67,6 +66,11 @@ class TestExperimentConfig:
     def test_rejects_widths_outside_unit_interval(self, eps):
         with pytest.raises(ValueError):
             quick_config(epsilons=(eps,))
+
+    def test_rejects_repeated_widths(self):
+        # 0.2 and 0.20 are one width, given twice
+        with pytest.raises(ValueError, match="^widths must be distinct$"):
+            quick_config(epsilons=(0.4, 0.2, 0.20))
 
     def test_rejects_bad_grid_upfront(self):
         with pytest.raises(ValueError):
@@ -394,24 +398,19 @@ class TestOneWidthAtATime:
 class TestFigureEmission:
     def test_fig1_six_density_tables(self, tmp_path):
         cfg = quick_config(n=256, solver=SolverConfig(dt=DT, t_end=0.2996))
-        payload = emit_figure_data(cfg, "fig1", str(tmp_path))
-        assert len(payload["files"]) == 6
-        for name in payload["files"]:
-            assert (tmp_path / name).exists()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["figure"] == "fig1"
-        assert manifest["config_hash"] == config_hash(cfg)
+        files = emit_figure_data(cfg, "fig1", str(tmp_path))
+        assert len(files) == 6
+        assert sorted(os.listdir(tmp_path)) == sorted(files)
 
     def test_fig3_one_table_per_width(self, tmp_path):
         cfg = quick_config(n=256, t_end=0.214)
-        payload = emit_figure_data(cfg, "fig3", str(tmp_path))
-        assert len(payload["files"]) == 4
+        assert len(emit_figure_data(cfg, "fig3", str(tmp_path))) == 4
 
     def test_fig4_energy_traces_stay_flat(self, tmp_path):
         cfg = quick_config(n=1024, solver=SolverConfig(dt=DT, t_end=0.2996))
-        payload = emit_figure_data(cfg, "fig4", str(tmp_path))
-        assert len(payload["files"]) == 3
-        for name in payload["files"]:
+        files = emit_figure_data(cfg, "fig4", str(tmp_path))
+        assert len(files) == 3
+        for name in files:
             rows = np.genfromtxt(tmp_path / name, delimiter=",", names=True)
             energies = rows["energy"]
             assert np.max(np.abs(energies - energies[0])) < 0.01 * energies[0]
@@ -419,8 +418,7 @@ class TestFigureEmission:
     def test_fig5_density_and_energy_tables(self, tmp_path):
         cfg = quick_config(n=256, kind="delta_squared",
                            solver=SolverConfig(dt=DT, t_end=0.2996))
-        payload = emit_figure_data(cfg, "fig5", str(tmp_path))
-        assert len(payload["files"]) == 8
+        assert len(emit_figure_data(cfg, "fig5", str(tmp_path))) == 8
 
     def test_density_table_recovers_squared_mass(self, tmp_path):
         cfg = quick_config(n=1024, t_end=0.214)
@@ -436,8 +434,6 @@ class TestFigureEmission:
         emit_figure_data(cfg, "fig3", str(tmp_path / "a"))
         emit_figure_data(cfg, "fig3", str(tmp_path / "b"))
         for name in os.listdir(tmp_path / "a"):
-            if name == "manifest.json":
-                continue  # carries a timestamp
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 

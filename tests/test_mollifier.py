@@ -123,10 +123,20 @@ class TestMollifySamples:
         assert np.allclose(out, expected, rtol=1e-13, atol=0.0)
 
 
+    def test_rejects_samples_off_the_grid(self):
+        with pytest.raises(ValueError, match=r"^expected 2048 samples, got shape \(1024,\)$"):
+            mollify_samples(np.ones(1024), SITE_GRID, 0.1)
+
+
 class TestPotentialSpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             PotentialSpec("coulomb")
+
+    @pytest.mark.parametrize("site", [float("nan"), float("inf")])
+    def test_site_validation(self, site):
+        with pytest.raises(ValueError, match="^site must be finite$"):
+            PotentialSpec("delta", site=site)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -263,6 +273,10 @@ class TestModeratenessExponent:
     def test_requires_three_samples(self):
         with pytest.raises(ValueError):
             moderateness_exponent([0.2, 0.1], [1.0, 2.0])
+
+    def test_rejects_repeated_widths(self):
+        with pytest.raises(ValueError, match="^epsilons must be positive and distinct$"):
+            moderateness_exponent([0.4, 0.2, 0.2], [1.0, 2.0, 3.0])
 
     def test_rejects_nonpositive_norms(self):
         with pytest.raises(ValueError):

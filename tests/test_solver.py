@@ -847,6 +847,16 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError):
             self.build([0.0, 0.1], (u,))
 
+    def test_rejects_one_dimensional_values(self):
+        with pytest.raises(ValueError, match="^trajectory values must be a 2-D complex array$"):
+            Trajectory(times=np.array([0.0]), values=initial_datum(GRID).values,
+                       potential=potential("delta").field, order=FractionalOrder(1.0))
+
+    def test_rejects_empty_trajectory(self):
+        with pytest.raises(ValueError, match="^trajectory must hold at least the initial record$"):
+            Trajectory(times=np.empty(0), values=np.empty((0, GRID.n), dtype=complex),
+                       potential=potential("delta").field, order=FractionalOrder(1.0))
+
     def test_rejects_states_off_the_potential_grid(self):
         u = initial_datum(make_grid(0.0, 10.0, 512))
         with pytest.raises(ValueError):
