@@ -10,15 +10,17 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid for any order
   s, the free flow a single FFT pair below FOUR_STEP_MIN nodes and a
-  four-step FFT from there on (_SplitStep).
+  four-step FFT from there on (_SplitStep), where unrecorded steps run in
+  the four-step column domain (_SplitStep.stretch).
 
 Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step, as
 step_plan lays out.
 
 A run's recorded states are the rows of one read-only (n_records, n) array,
-allocated before the first step; every step writes straight into the next
-free row, and the check that aborts a run on a non-finite state
+allocated before the first step.  A step taken on its own writes straight
+into the next free row; a stretch of steps in the column domain writes only
+its last state there.  The check that aborts a run on a non-finite state
 (_checked_peak) allocates nothing, so a Strang run allocates nothing per
 step (a Crank-Nicolson step builds its right-hand side in temporaries).
 Keeping one recorded state keeps that whole array alive: copy a row to
@@ -295,6 +297,8 @@ class _CrankNicolson:
     by about 100 nats over the rows at dt = 0.0107 and 275 at dt/8.
     """
 
+    can_stretch = False
+
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):
         a = 1.0 / grid.dx**2
         self._a = a
@@ -321,6 +325,17 @@ class _CrankNicolson:
 # 335-510 at 16384 and 876-1089 against 718-866 at 32768.  At 4096 the two
 # tie, so n <= 4096 keeps the single transform and its arithmetic.
 FOUR_STEP_MIN = 8192
+
+# Unrecorded four-step steps run in the column domain (_SplitStep.stretch)
+# while p != 0 on at most _STRETCH_ROWS_MAX rows S of the (R, C) view.  A
+# step took, one by one against in a stretch (min of 15 runs of 100 steps,
+# one placement of the arrays per pair; 2-vCPU Xeon, numpy 2.4.6, one BLAS
+# thread): 191 against 129 us at |S| = 2, 188 against 176 at 16 and 199
+# against 216 at 32 for n = 8192; 394 against 254 at 2, 655 against 532 at 16
+# and 463 against 448 at 32 for 16384; 1342 against 822 at 2 and 1415 against
+# 1141 at 16 for 32768.  Past 16 rows the rank update costs about what the
+# F0 pair it replaces does.
+_STRETCH_ROWS_MAX = 16
 
 
 @cache
@@ -368,6 +383,16 @@ class _SplitStep:
     equals half_phase * G^-1(kinetic * G(half_phase * values)) with G and
     G^-1 spelled as the calls above.  It differs from the single-FFT step by
     roundoff, about 1e-14 of the peak after 30 steps at n = 8192 to 32768.
+
+    Between two unrecorded steps the four-step path takes F0^-1 (axis-0
+    ifft), the two half phases H and F0 again, and F0 diag(H*H) F0^-1 =
+    I + F0 diag(H*H - 1) F0^-1, where H*H - 1 is zero outside the rows S of
+    the (R, C) view where p != 0 (H is exactly 1 there).  So stretch keeps
+    the state in the column domain and replaces that round trip by the
+    rank-|S| update z += B((H*H - 1)[S] * (A z)), A = F0^-1 restricted to
+    rows S and B = F0 restricted to columns S (_spike): a step makes two
+    FFT calls instead of four.  It differs from step by roundoff, about
+    3e-14 of the peak after 200 steps at n = 8192 and 16384.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):
@@ -392,15 +417,67 @@ class _SplitStep:
             np.multiply(self._kinetic, work, out=work)
             np.fft.ifft(work, out=work)
         else:
-            rc, (twiddle, conj_twiddle) = self._work_rc, self._twiddles
+            rc = self._work_rc
             np.fft.fft(rc, axis=0, out=rc)
-            np.multiply(twiddle, rc, out=rc)
-            np.fft.fft(rc, axis=1, out=rc)
-            np.multiply(self._kinetic, rc, out=rc)
-            np.fft.ifft(rc, axis=1, out=rc)
-            np.multiply(conj_twiddle, rc, out=rc)
+            self._column_flow(rc)
             np.fft.ifft(rc, axis=0, out=rc)
         return np.multiply(self._half_phase, work, out=out)
+
+    def _column_flow(self, rc: np.ndarray) -> None:
+        """rc <- conj(T) * F1^-1(K * F1(T * rc)), the four-step flow between the F0 passes."""
+        twiddle, conj_twiddle = self._twiddles
+        np.multiply(twiddle, rc, out=rc)
+        np.fft.fft(rc, axis=1, out=rc)
+        np.multiply(self._kinetic, rc, out=rc)
+        np.fft.ifft(rc, axis=1, out=rc)
+        np.multiply(conj_twiddle, rc, out=rc)
+
+    @property
+    def can_stretch(self) -> bool:
+        """The four-step path, with p != 0 on at most _STRETCH_ROWS_MAX rows."""
+        return self._spike is not None
+
+    @cached_property
+    def _spike(self):
+        """A, (H*H - 1)[S], B and a buffer for A z, or None (see can_stretch)."""
+        if self._twiddles is None:
+            return None
+        n_rows, cols = self._work_rc.shape
+        half = self._half_phase.reshape(n_rows, cols)
+        hit = np.flatnonzero((half != 1.0).any(axis=1))
+        if len(hit) > _STRETCH_ROWS_MAX:
+            return None
+        angle = np.outer(hit, np.arange(n_rows)) % n_rows * (2.0 * np.pi / n_rows)
+        inverse = np.exp(1j * angle) / n_rows
+        forward = np.exp(-1j * angle).T.copy()
+        phase_gap = half[hit] * half[hit] - 1.0
+        return inverse, phase_gap, forward, np.empty((len(hit), cols), dtype=complex)
+
+    def stretch(self, values: np.ndarray, out: np.ndarray, steps: int):
+        """Take steps steps from values into out, yielding after each one.
+
+        Enters once through H and F0, leaves once through F0^-1 and H into
+        out when exhausted; values is read only on entry, so out may be
+        values, and out (contiguous) holds B's product in between.  Each
+        yield is the work array holding the step's state x as F0(x / H), for
+        the caller's check: F0 is invertible and spreads a non-finite entry
+        over its column, so it is finite exactly when x is.  Needs
+        can_stretch; allocates no array.
+        """
+        work, rc, out_rc = self._work, self._work_rc, out.reshape(self._work_rc.shape)
+        inverse, phase_gap, forward, spike_rows = self._spike
+        np.multiply(self._half_phase, values, out=work)
+        np.fft.fft(rc, axis=0, out=rc)
+        for left in range(steps - 1, -1, -1):
+            self._column_flow(rc)
+            yield work
+            if left and len(phase_gap):
+                np.matmul(inverse, rc, out=spike_rows)
+                np.multiply(phase_gap, spike_rows, out=spike_rows)
+                np.matmul(forward, spike_rows, out=out_rc)
+                np.add(rc, out_rc, out=rc)
+        np.fft.ifft(rc, axis=0, out=rc)
+        np.multiply(self._half_phase, work, out=out)
 
 
 _STEPPERS = {"crank_nicolson": _CrankNicolson, "spectral_strang": _SplitStep}
@@ -443,12 +520,18 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     times are known before the first step, so the states go into one array
     with a row per record: each step writes into the next free row, which
     advances only after a recorded step, and a step that is not recorded is
-    overwritten by the next.  Any non-finite state aborts the run with step
-    diagnostics, the largest finite |Re| or |Im| seen and the width of the
-    potential (NumericalAbort); the check is one max and one min over each
-    new state's real and imaginary parts and allocates nothing per step
-    (_checked_peak).  The observables of the recorded states are computed
-    on their first read from the trajectory.
+    overwritten by the next.  Where the stepper can (can_stretch), two or
+    more steps up to a recorded step or the last full step run as one
+    stretch, which writes only its last state; the shortened last step and
+    all other steps are taken one by one.  Any non-finite state aborts the
+    run with step diagnostics, the largest finite |Re| or |Im| seen and the
+    width of the potential (NumericalAbort); the check is one max and one
+    min over each new state's real and imaginary parts (a stretch's
+    column-domain state) and allocates nothing per step (_checked_peak).
+    A stretch's states never exist in x, so an abort once one has begun
+    finds worst by retaking the steps before it one by one from the datum.
+    The observables of the recorded states are computed on their first read
+    from the trajectory.
     """
     require_same_grid(u0, potential.field)
     grid = u0.grid
@@ -465,20 +548,48 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     rows = np.empty((len(times), grid.n), dtype=complex)
     rows[0] = u0.values
     values = rows[0]
-    worst = _checked_peak(values, 0, 0.0, 0.0, potential.epsilon)  # u0 is finite
+    worst = first_peak = _checked_peak(values, 0, 0.0, 0.0, potential.epsilon)  # u0 is finite
 
     k = 1  # next free row
     stepper = make_stepper(grid, p_values, dt, config.order)
-    for i in range(1, n_full + 1):
-        values = stepper.step(values, rows[k])
-        worst = max(worst, _checked_peak(values, i, i * dt, worst, potential.epsilon))
-        if i in marked:
-            k += 1
-    if remainder > 0.0:
-        values = make_stepper(grid, p_values, remainder, config.order).step(values, rows[k])
-        _checked_peak(values, n_full + 1, config.t_end, worst, potential.epsilon)
+    stretched = False
+    try:
+        # the full steps run in segments ending at each recorded step and at
+        # the last full step; a segment of two or more steps is one stretch
+        for start in range(0, n_full, config.record_every):
+            stop = min(start + config.record_every, n_full)
+            if stop - start >= 2 and stepper.can_stretch:
+                stretched = True
+                for i, z in enumerate(stepper.stretch(values, rows[k], stop - start), start + 1):
+                    _checked_peak(z, i, i * dt, worst, potential.epsilon)
+                values = rows[k]
+            else:
+                values, worst = _steps(stepper, values, rows[k], start, stop, dt, worst,
+                                       potential.epsilon)
+            if stop in marked:
+                k += 1
+        if remainder > 0.0:
+            values = make_stepper(grid, p_values, remainder, config.order).step(values, rows[k])
+            _checked_peak(values, n_full + 1, config.t_end, worst, potential.epsilon)
+    except NumericalAbort as abort:
+        if not stretched:
+            raise
+        # a stretch never forms its states in x: take the steps before the
+        # abort again one by one from the datum, into a row the abort discards
+        _, worst = _steps(stepper, rows[0], rows[-1], 0, abort.step - 1, dt, first_peak,
+                          potential.epsilon)
+        raise NumericalAbort(abort.step, abort.time, worst, potential.epsilon) from None
 
     return Trajectory(times=times, values=rows, potential=potential.field, order=config.order)
+
+
+def _steps(stepper, values: np.ndarray, out: np.ndarray, start: int, stop: int, dt: float,
+           worst: float, epsilon: float) -> tuple[np.ndarray, float]:
+    """Steps start+1 .. stop one by one into out, each checked; the last state and worst."""
+    for i in range(start + 1, stop + 1):
+        values = stepper.step(values, out)
+        worst = max(worst, _checked_peak(values, i, i * dt, worst, epsilon))
+    return values, worst
 
 
 def _checked_peak(values: np.ndarray, step: int, time: float, worst: float,
@@ -486,7 +597,8 @@ def _checked_peak(values: np.ndarray, step: int, time: float, worst: float,
     """Largest |Re| or |Im| of a new state; a non-finite component aborts the run.
 
     The peak is the max and the negated min of the state's real view (its
-    real and imaginary parts; every row simulate passes is contiguous).
+    real and imaginary parts; every row and work array simulate passes is
+    contiguous).
     max and min propagate NaN and +-inf, so the peak is finite exactly when
     every component is: one reduction decides the abort and gives the
     diagnostic, with no modulus, and the call allocates nothing.

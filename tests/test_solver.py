@@ -503,6 +503,137 @@ class TestSplitStepKernel:
                 assert not np.shares_memory(a, b)
 
 
+def stepped_rows(u, p, cfg):
+    """The states simulate records for cfg, each step a call of _SplitStep.step."""
+    make = fracschrod.solver._SplitStep
+    n_full, remainder = step_plan(cfg.t_end, cfg.dt)
+    stepper = make(u.grid, p.field.values, cfg.dt, cfg.order)
+    v, rows = u.values, [u.values]
+    for i in range(1, n_full + 1):
+        v = stepper.step(v, np.empty_like(v))
+        if i % cfg.record_every == 0 and (i < n_full or remainder):
+            rows.append(v)
+    if remainder:
+        v = make(u.grid, p.field.values, remainder, cfg.order).step(v, np.empty_like(v))
+    return np.array([*rows, v])
+
+
+class TestStretch:
+    """Unrecorded four-step steps in the column domain against step-by-step stepping."""
+
+    @staticmethod
+    def run(n, kind, eps, record_every, steps):
+        grid = make_grid(0.0, 10.0, n)
+        u, p = initial_datum(grid), potential(kind, eps=eps, grid=grid)
+        # a shortened last step after the stretches
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=(steps + 0.3) * DT,
+                           record_every=record_every)
+        return u, p, cfg
+
+    @pytest.mark.parametrize("kind,eps", [("delta", 0.035), ("delta", 0.15),
+                                          ("delta_squared", 0.035), ("delta_squared", 0.15),
+                                          ("zero", 0.3)])
+    @pytest.mark.parametrize("record_every", [10, 100])
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_recorded_rows_match_step_by_step(self, n, record_every, kind, eps):
+        u, p, cfg = self.run(n, kind, eps, record_every, steps=2 * record_every + 5)
+        stepper = fracschrod.solver._SplitStep(u.grid, p.field.values, DT, cfg.order)
+        assert stepper.can_stretch
+        tr = simulate(u, p, cfg)
+        expected = stepped_rows(u, p, cfg)
+        assert tr.values.shape == expected.shape == (4, n)
+        for row, ref in zip(tr.values, expected):
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_spike_straddles_two_rows_at_16384(self):
+        # site 3 at eps 0.035 covers nodes 4858-4973 of rows 37 and 38 of the 128 x 128 view
+        u, p, cfg = self.run(16384, "delta_squared", 0.035, 10, steps=20)
+        support = np.flatnonzero(p.field.values.reshape(128, 128).any(axis=1))
+        assert support.tolist() == [37, 38]
+        stepper = fracschrod.solver._SplitStep(u.grid, p.field.values, DT, cfg.order)
+        assert len(stepper._spike[0]) == 2
+        # the rank-2 update carries the spike's effect, far above the tolerance above
+        free = simulate(u, potential("zero", grid=u.grid), cfg).values
+        tr = simulate(u, p, cfg).values
+        assert np.max(np.abs(tr - free)) > 1e-6 * np.max(np.abs(tr))
+
+    @pytest.mark.parametrize("kind,record_every", [("harmonic_shifted", 10),
+                                                   ("constant_one", 10),
+                                                   ("delta_squared", 1)])
+    def test_fallback_is_step_by_step_bit_for_bit(self, kind, record_every):
+        u, p, cfg = self.run(16384, kind, 0.035, record_every, steps=20)
+        stepper = fracschrod.solver._SplitStep(u.grid, p.field.values, DT, cfg.order)
+        assert stepper.can_stretch == (kind == "delta_squared")  # dense p holds every row
+        tr = simulate(u, p, cfg)
+        assert np.array_equal(tr.values, stepped_rows(u, p, cfg))
+
+    def test_fft_calls_are_steps_plus_stretches(self, monkeypatch):
+        # the spectral-long shape, 300 of its 1400 steps: three stretches of 100
+        grid = make_grid(0.0, 10.0, 16384)
+        cfg = SolverConfig(backend="spectral_strang", dt=0.000214, t_end=300 * 0.000214,
+                           record_every=100)
+        u, p = initial_datum(grid), potential("delta_squared", eps=0.035, grid=grid)
+        assert step_plan(cfg.t_end, cfg.dt) == (300, 0.0)
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        tr = simulate(u, p, cfg)
+        assert len(tr.times) == 4
+        assert calls == {"fft": 303, "ifft": 303}
+
+    def test_stretch_allocates_nothing(self):
+        n = 16384
+        grid = make_grid(0.0, 10.0, n)
+        p = potential("delta_squared", eps=0.035, grid=grid)
+        stepper = fracschrod.solver._SplitStep(grid, p.field.values, DT, FractionalOrder(1.0))
+        v = np.array(initial_datum(grid).values)
+        for _ in stepper.stretch(v, v, 3):  # warm-up: FFT plans, the rank-2 update
+            pass
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for _ in stepper.stretch(v, v, 20):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < n
+
+    @pytest.mark.parametrize("j", [1, 27])
+    def test_nan_inside_a_stretch_keeps_the_step_by_step_diagnostics(self, monkeypatch, j):
+        grid = make_grid(0.0, 10.0, 16384)
+        # the time reverse of the packet at 30 DT: it refocuses, so each state
+        # before the abort is taller than the last and worst depends on all of them
+        spread = free_propagator(initial_datum(grid), 30 * DT, FractionalOrder(1.0))
+        u = ComplexField(grid, np.conj(spread.values))
+        p = potential("delta_squared", eps=0.035, grid=grid)
+        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=40 * DT, record_every=20)
+        # the datum and the step-by-step states of steps 1 .. j-1
+        before = stepped_rows(u, p, replace(cfg, t_end=j * DT, record_every=1))[:-1]
+        assert np.argmax(np.abs(before.view(float)).max(axis=1)) == j - 1
+        original, yielded = fracschrod.solver._SplitStep.stretch, []
+
+        def stretch(self, values, out, steps):
+            for z in original(self, values, out, steps):
+                yielded.append(1)
+                if len(yielded) == j:  # the column-domain state of step j
+                    z[700] = np.nan
+                yield z
+
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "stretch", stretch)
+        with pytest.raises(NumericalAbort) as err:
+            simulate(u, p, cfg)
+        assert j % cfg.record_every and len(yielded) == j  # unrecorded, inside a stretch
+        assert err.value.step == j
+        assert err.value.time == j * DT
+        assert err.value.epsilon == 0.035
+        assert err.value.worst == np.max(np.abs(before.view(float)))
+        assert err.value.worst < np.max(np.abs(before))
+
+
 class TestStepPlan:
     def test_time_on_the_grid(self):
         assert step_plan(0.2996, 0.0107) == (28, 0.0)
