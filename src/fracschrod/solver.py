@@ -10,17 +10,19 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid for any order
   s, the free flow a single FFT pair below FOUR_STEP_MIN nodes and a
-  four-step FFT from there on (_SplitStep), where unrecorded steps run in
-  the four-step column domain (_SplitStep.stretch).
+  four-step FFT from there on (_SplitStep), where the steps of a segment
+  stay in the four-step column domain.
 
 Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step, as
 step_plan lays out.
 
-A run's recorded states are the rows of one read-only (n_records, n) array,
-allocated before the first step.  A step taken on its own writes straight
-into the next free row; a stretch of steps in the column domain writes only
-its last state there.  The check that aborts a run on a non-finite state
+A stepper's step takes one step and its advance a segment of steps,
+yielding after each one an array that is finite exactly when the new state
+is.  simulate drives every stepper the same way, one advance per segment of
+the run (simulate lists them), which writes its last state straight into
+the next free row of one read-only (n_records, n) array allocated before
+the first step.  The check that aborts a run on a non-finite state
 (_checked_peak) allocates nothing, so a Strang run allocates nothing per
 step (a Crank-Nicolson step builds its right-hand side in temporaries).
 Keeping one recorded state keeps that whole array alive: copy a row to
@@ -297,8 +299,6 @@ class _CrankNicolson:
     by about 100 nats over the rows at dt = 0.0107 and 275 at dt/8.
     """
 
-    can_stretch = False
-
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):
         a = 1.0 / grid.dx**2
         self._a = a
@@ -317,6 +317,12 @@ class _CrankNicolson:
         self._factor.solve(rhs, out[1:-1])
         return out
 
+    def advance(self, values: np.ndarray, out: np.ndarray, steps: int):
+        """Take steps steps from values into out one by one, yielding each new state."""
+        for _ in range(steps):
+            values = self.step(values, out)
+            yield values
+
 
 # From FOUR_STEP_MIN nodes on the free flow is a four-step FFT.  A Strang
 # step took, over 10 placements of its work and state arrays (min of 9 each;
@@ -326,15 +332,16 @@ class _CrankNicolson:
 # tie, so n <= 4096 keeps the single transform and its arithmetic.
 FOUR_STEP_MIN = 8192
 
-# Unrecorded four-step steps run in the column domain (_SplitStep.stretch)
-# while p != 0 on at most _STRETCH_ROWS_MAX rows S of the (R, C) view.  A
-# step took, one by one against in a stretch (min of 15 runs of 100 steps,
-# one placement of the arrays per pair; 2-vCPU Xeon, numpy 2.4.6, one BLAS
-# thread): 191 against 129 us at |S| = 2, 188 against 176 at 16 and 199
-# against 216 at 32 for n = 8192; 394 against 254 at 2, 655 against 532 at 16
-# and 463 against 448 at 32 for 16384; 1342 against 822 at 2 and 1415 against
-# 1141 at 16 for 32768.  Past 16 rows the rank update costs about what the
-# F0 pair it replaces does.
+# Between two four-step steps, advance applies the two half phases as a
+# rank-|S| update while p != 0 on at most _STRETCH_ROWS_MAX rows S of the
+# (R, C) view, and as F0^-1, H, H, F0 otherwise.  A step took, round trip
+# against rank update (min of 15 runs of 100 steps, one placement of the
+# arrays per pair; 2-vCPU Xeon, numpy 2.4.6, one BLAS thread): 191 against
+# 129 us at |S| = 2, 188 against 176 at 16 and 199 against 216 at 32 for
+# n = 8192; 394 against 254 at 2, 655 against 532 at 16 and 463 against 448
+# at 32 for 16384; 1342 against 822 at 2 and 1415 against 1141 at 16 for
+# 32768.  Past 16 rows the rank update costs about what the F0 pair it
+# replaces does.
 _STRETCH_ROWS_MAX = 16
 
 
@@ -384,15 +391,18 @@ class _SplitStep:
     G^-1 spelled as the calls above.  It differs from the single-FFT step by
     roundoff, about 1e-14 of the peak after 30 steps at n = 8192 to 32768.
 
-    Between two unrecorded steps the four-step path takes F0^-1 (axis-0
-    ifft), the two half phases H and F0 again, and F0 diag(H*H) F0^-1 =
-    I + F0 diag(H*H - 1) F0^-1, where H*H - 1 is zero outside the rows S of
-    the (R, C) view where p != 0 (H is exactly 1 there).  So stretch keeps
-    the state in the column domain and replaces that round trip by the
-    rank-|S| update z += B((H*H - 1)[S] * (A z)), A = F0^-1 restricted to
-    rows S and B = F0 restricted to columns S (_spike): a step makes two
-    FFT calls instead of four.  It differs from step by roundoff, about
-    3e-14 of the peak after 200 steps at n = 8192 and 16384.
+    advance takes a segment of steps: below FOUR_STEP_MIN one by one
+    through step, from there on in the column domain, and step there is its
+    one-step case.  It enters once through H and F0, runs each step's
+    column flow and leaves once through F0^-1 and H.  Between two steps lie
+    F0^-1, the two half phases H and F0 again.  Where p != 0 on at most
+    _STRETCH_ROWS_MAX rows S of the (R, C) view, H is exactly 1 off S, so
+    F0 diag(H*H) F0^-1 = I + F0 diag(H*H - 1) F0^-1 is the rank-|S| update
+    z += B((H*H - 1)[S] * (A z)), A = F0^-1 restricted to rows S and B = F0
+    restricted to columns S (_spike): a step makes two FFT calls instead of
+    four, and differs from one-by-one steps by roundoff, about 3e-14 of the
+    peak after 200 steps at n = 8192 and 16384.  Otherwise advance takes
+    the round trip as it stands, which equals separate steps bit for bit.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):
@@ -410,18 +420,53 @@ class _SplitStep:
             self._work_rc = self._work.reshape(rows, cols)
 
     def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self._twiddles is not None:
+            for _ in self.advance(values, out, 1):
+                pass
+            return out
         work = self._work
         np.multiply(self._half_phase, values, out=work)
-        if self._twiddles is None:
-            np.fft.fft(work, out=work)
-            np.multiply(self._kinetic, work, out=work)
-            np.fft.ifft(work, out=work)
-        else:
-            rc = self._work_rc
-            np.fft.fft(rc, axis=0, out=rc)
-            self._column_flow(rc)
-            np.fft.ifft(rc, axis=0, out=rc)
+        np.fft.fft(work, out=work)
+        np.multiply(self._kinetic, work, out=work)
+        np.fft.ifft(work, out=work)
         return np.multiply(self._half_phase, work, out=out)
+
+    def advance(self, values: np.ndarray, out: np.ndarray, steps: int):
+        """Take steps steps from values into out, yielding after each one.
+
+        Below FOUR_STEP_MIN each yield is the new state.  On the four-step
+        path it is the work array holding the state x as F0(x / H): F0 is
+        invertible and spreads a non-finite entry over its column, so it is
+        finite exactly when x is.  values is read only on entry, so out may
+        be values; out (contiguous) holds B's product between steps and the
+        last state when exhausted.  Allocates no array.
+        """
+        if self._twiddles is None:
+            for _ in range(steps):
+                values = self.step(values, out)
+                yield values
+            return
+        work, rc, out_rc = self._work, self._work_rc, out.reshape(self._work_rc.shape)
+        np.multiply(self._half_phase, values, out=work)
+        np.fft.fft(rc, axis=0, out=rc)
+        for k in range(steps):
+            if k:  # the two half phases between step k and step k + 1
+                spike = self._spike  # built only once a second step is due
+                if spike is None:
+                    np.fft.ifft(rc, axis=0, out=rc)
+                    np.multiply(self._half_phase, work, out=work)
+                    np.multiply(self._half_phase, work, out=work)
+                    np.fft.fft(rc, axis=0, out=rc)
+                elif len(spike[1]):
+                    inverse, phase_gap, forward, spike_rows = spike
+                    np.matmul(inverse, rc, out=spike_rows)
+                    np.multiply(phase_gap, spike_rows, out=spike_rows)
+                    np.matmul(forward, spike_rows, out=out_rc)
+                    np.add(rc, out_rc, out=rc)
+            self._column_flow(rc)
+            yield work
+        np.fft.ifft(rc, axis=0, out=rc)
+        np.multiply(self._half_phase, work, out=out)
 
     def _column_flow(self, rc: np.ndarray) -> None:
         """rc <- conj(T) * F1^-1(K * F1(T * rc)), the four-step flow between the F0 passes."""
@@ -432,16 +477,12 @@ class _SplitStep:
         np.fft.ifft(rc, axis=1, out=rc)
         np.multiply(conj_twiddle, rc, out=rc)
 
-    @property
-    def can_stretch(self) -> bool:
-        """The four-step path, with p != 0 on at most _STRETCH_ROWS_MAX rows."""
-        return self._spike is not None
-
     @cached_property
     def _spike(self):
-        """A, (H*H - 1)[S], B and a buffer for A z, or None (see can_stretch)."""
-        if self._twiddles is None:
-            return None
+        """A, (H*H - 1)[S], B and a buffer for A z on the four-step path.
+
+        None where p != 0 on more than _STRETCH_ROWS_MAX rows.
+        """
         n_rows, cols = self._work_rc.shape
         half = self._half_phase.reshape(n_rows, cols)
         hit = np.flatnonzero((half != 1.0).any(axis=1))
@@ -452,32 +493,6 @@ class _SplitStep:
         forward = np.exp(-1j * angle).T.copy()
         phase_gap = half[hit] * half[hit] - 1.0
         return inverse, phase_gap, forward, np.empty((len(hit), cols), dtype=complex)
-
-    def stretch(self, values: np.ndarray, out: np.ndarray, steps: int):
-        """Take steps steps from values into out, yielding after each one.
-
-        Enters once through H and F0, leaves once through F0^-1 and H into
-        out when exhausted; values is read only on entry, so out may be
-        values, and out (contiguous) holds B's product in between.  Each
-        yield is the work array holding the step's state x as F0(x / H), for
-        the caller's check: F0 is invertible and spreads a non-finite entry
-        over its column, so it is finite exactly when x is.  Needs
-        can_stretch; allocates no array.
-        """
-        work, rc, out_rc = self._work, self._work_rc, out.reshape(self._work_rc.shape)
-        inverse, phase_gap, forward, spike_rows = self._spike
-        np.multiply(self._half_phase, values, out=work)
-        np.fft.fft(rc, axis=0, out=rc)
-        for left in range(steps - 1, -1, -1):
-            self._column_flow(rc)
-            yield work
-            if left and len(phase_gap):
-                np.matmul(inverse, rc, out=spike_rows)
-                np.multiply(phase_gap, spike_rows, out=spike_rows)
-                np.matmul(forward, spike_rows, out=out_rc)
-                np.add(rc, out_rc, out=rc)
-        np.fft.ifft(rc, axis=0, out=rc)
-        np.multiply(self._half_phase, work, out=out)
 
 
 _STEPPERS = {"crank_nicolson": _CrankNicolson, "spectral_strang": _SplitStep}
@@ -518,24 +533,21 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     The initial state is always recorded, then every record_every-th step,
     then the final state with its time labeled exactly t_end.  The recorded
     times are known before the first step, so the states go into one array
-    with a row per record: each step writes into the next free row, which
-    advances only after a recorded step, and a step that is not recorded is
-    overwritten by the next.  Where the stepper can (can_stretch), two or
-    more steps up to a recorded step or the last full step run as one
-    stretch, which writes only its last state; the shortened last step and
-    all other steps are taken one by one.  Any non-finite state aborts the
-    run with step diagnostics, the largest finite |Re| or |Im| seen and the
-    width of the potential (NumericalAbort); the check is one max and one
-    min over each new state's real and imaginary parts (a stretch's
-    column-domain state) and allocates nothing per step (_checked_peak).
-    A stretch's states never exist in x, so an abort once one has begun
-    finds worst by retaking the steps before it one by one from the datum.
-    The observables of the recorded states are computed on their first read
-    from the trajectory.
+    with a row per record.  The run is one loop over segments: the full
+    steps up to each recorded step and up to the last full step, then the
+    shortened last step on its own.  Each segment is one advance of its
+    stepper into the next free row, which moves on only after a recorded
+    step, so a segment's last state is its only one kept.  Any non-finite
+    state aborts the run with step diagnostics, the largest finite |Re| or
+    |Im| seen and the width of the potential (NumericalAbort); the check is
+    one max and one min over the real view of each array advance yields and
+    allocates nothing per step (_checked_peak).  An advance need not form
+    its states in x, so an abort finds worst by retaking the steps before it
+    one by one from the datum.  The observables of the recorded states are
+    computed on their first read from the trajectory.
     """
     require_same_grid(u0, potential.field)
-    grid = u0.grid
-    p_values = potential.field.values
+    grid, p_values, epsilon = u0.grid, potential.field.values, potential.epsilon
     dt = config.dt
     n_full, remainder = step_plan(config.t_end, dt)
     make_stepper = _STEPPERS[config.backend]
@@ -547,49 +559,33 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     times = np.array([0.0, *(i * dt for i in marked), config.t_end])
     rows = np.empty((len(times), grid.n), dtype=complex)
     rows[0] = u0.values
-    values = rows[0]
-    worst = first_peak = _checked_peak(values, 0, 0.0, 0.0, potential.epsilon)  # u0 is finite
+    worst = _checked_peak(rows[0], 0, 0.0, 0.0, epsilon)  # u0 is finite
 
-    k = 1  # next free row
     stepper = make_stepper(grid, p_values, dt, config.order)
-    stretched = False
+    segments = [(stepper, start, min(start + config.record_every, n_full))
+                for start in range(0, n_full, config.record_every)]
+    if remainder > 0.0:
+        segments.append((make_stepper(grid, p_values, remainder, config.order),
+                         n_full, n_full + 1))
+    values, k = rows[0], 1  # k: the next free row
     try:
-        # the full steps run in segments ending at each recorded step and at
-        # the last full step; a segment of two or more steps is one stretch
-        for start in range(0, n_full, config.record_every):
-            stop = min(start + config.record_every, n_full)
-            if stop - start >= 2 and stepper.can_stretch:
-                stretched = True
-                for i, z in enumerate(stepper.stretch(values, rows[k], stop - start), start + 1):
-                    _checked_peak(z, i, i * dt, worst, potential.epsilon)
-                values = rows[k]
-            else:
-                values, worst = _steps(stepper, values, rows[k], start, stop, dt, worst,
-                                       potential.epsilon)
+        for segment_stepper, start, stop in segments:
+            states = segment_stepper.advance(values, rows[k], stop - start)
+            for i, z in enumerate(states, start + 1):
+                _checked_peak(z, i, i * dt if i <= n_full else config.t_end, worst, epsilon)
+            values = rows[k]
             if stop in marked:
                 k += 1
-        if remainder > 0.0:
-            values = make_stepper(grid, p_values, remainder, config.order).step(values, rows[k])
-            _checked_peak(values, n_full + 1, config.t_end, worst, potential.epsilon)
     except NumericalAbort as abort:
-        if not stretched:
-            raise
-        # a stretch never forms its states in x: take the steps before the
-        # abort again one by one from the datum, into a row the abort discards
-        _, worst = _steps(stepper, rows[0], rows[-1], 0, abort.step - 1, dt, first_peak,
-                          potential.epsilon)
-        raise NumericalAbort(abort.step, abort.time, worst, potential.epsilon) from None
+        # retake the steps before the abort one by one from the datum, into a
+        # row the abort discards, for the largest component they reach
+        values = rows[0]
+        for i in range(1, abort.step):
+            values = stepper.step(values, rows[-1])
+            worst = max(worst, _checked_peak(values, i, i * dt, worst, epsilon))
+        raise NumericalAbort(abort.step, abort.time, worst, epsilon) from None
 
     return Trajectory(times=times, values=rows, potential=potential.field, order=config.order)
-
-
-def _steps(stepper, values: np.ndarray, out: np.ndarray, start: int, stop: int, dt: float,
-           worst: float, epsilon: float) -> tuple[np.ndarray, float]:
-    """Steps start+1 .. stop one by one into out, each checked; the last state and worst."""
-    for i in range(start + 1, stop + 1):
-        values = stepper.step(values, out)
-        worst = max(worst, _checked_peak(values, i, i * dt, worst, epsilon))
-    return values, worst
 
 
 def _checked_peak(values: np.ndarray, step: int, time: float, worst: float,

@@ -504,8 +504,8 @@ class TestSplitStepKernel:
 
 
 def stepped_rows(u, p, cfg):
-    """The states simulate records for cfg, each step a call of _SplitStep.step."""
-    make = fracschrod.solver._SplitStep
+    """The states simulate records for cfg, each step a call of its stepper's step."""
+    make = fracschrod.solver._STEPPERS[cfg.backend]
     n_full, remainder = step_plan(cfg.t_end, cfg.dt)
     stepper = make(u.grid, p.field.values, cfg.dt, cfg.order)
     v, rows = u.values, [u.values]
@@ -538,7 +538,7 @@ class TestStretch:
     def test_recorded_rows_match_step_by_step(self, n, record_every, kind, eps):
         u, p, cfg = self.run(n, kind, eps, record_every, steps=2 * record_every + 5)
         stepper = fracschrod.solver._SplitStep(u.grid, p.field.values, DT, cfg.order)
-        assert stepper.can_stretch
+        assert stepper._spike is not None
         tr = simulate(u, p, cfg)
         expected = stepped_rows(u, p, cfg)
         assert tr.values.shape == expected.shape == (4, n)
@@ -563,9 +563,22 @@ class TestStretch:
     def test_fallback_is_step_by_step_bit_for_bit(self, kind, record_every):
         u, p, cfg = self.run(16384, kind, 0.035, record_every, steps=20)
         stepper = fracschrod.solver._SplitStep(u.grid, p.field.values, DT, cfg.order)
-        assert stepper.can_stretch == (kind == "delta_squared")  # dense p holds every row
+        # dense p holds every row
+        assert (stepper._spike is not None) == (kind == "delta_squared")
         tr = simulate(u, p, cfg)
         assert np.array_equal(tr.values, stepped_rows(u, p, cfg))
+
+    # the other routes advance takes, each with a shortened last step: CN and
+    # the single FFT one step at a time, and a dense four-step run recording
+    # every step
+    @pytest.mark.parametrize("backend,n,kind,record_every",
+                             [("crank_nicolson", 1024, "delta", 1),
+                              ("spectral_strang", 4096, "delta_squared", 3),
+                              ("spectral_strang", 8192, "harmonic_shifted", 1)])
+    def test_every_route_is_step_by_step_bit_for_bit(self, backend, n, kind, record_every):
+        u, p, cfg = self.run(n, kind, 0.035, record_every, steps=20)
+        cfg = replace(cfg, backend=backend)
+        assert np.array_equal(simulate(u, p, cfg).values, stepped_rows(u, p, cfg))
 
     def test_fft_calls_are_steps_plus_stretches(self, monkeypatch):
         # the spectral-long shape, 300 of its 1400 steps: three stretches of 100
@@ -584,54 +597,71 @@ class TestStretch:
         assert len(tr.times) == 4
         assert calls == {"fft": 303, "ifft": 303}
 
-    def test_stretch_allocates_nothing(self):
+    # the rank-2 update of delta_squared and the dense round trip of harmonic_shifted
+    @pytest.mark.parametrize("kind", ["delta_squared", "harmonic_shifted"])
+    def test_advance_allocates_nothing(self, monkeypatch, kind):
         n = 16384
         grid = make_grid(0.0, 10.0, n)
-        p = potential("delta_squared", eps=0.035, grid=grid)
+        p = potential(kind, eps=0.035, grid=grid)
         stepper = fracschrod.solver._SplitStep(grid, p.field.values, DT, FractionalOrder(1.0))
         v = np.array(initial_datum(grid).values)
-        for _ in stepper.stretch(v, v, 3):  # warm-up: FFT plans, the rank-2 update
+        for _ in stepper.advance(v, v, 3):  # warm-up: FFT plans, what lies between steps
             pass
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            for _ in stepper.stretch(v, v, 20):
+            for _ in stepper.advance(v, v, 20):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - baseline < n
+        # one step is never followed by another, so it builds no rank update
+        made, init = [], fracschrod.solver._SplitStep.__init__
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "__init__",
+                            lambda self, *args: made.append(self) or init(self, *args))
+        strang_step(initial_datum(grid), p, DT)
+        assert len(made) == 1 and "_spike" not in vars(made[0])
 
-    @pytest.mark.parametrize("j", [1, 27])
-    def test_nan_inside_a_stretch_keeps_the_step_by_step_diagnostics(self, monkeypatch, j):
+    @staticmethod
+    def abort_at(monkeypatch, kind, j):
+        """Put a NaN into step j's column-domain state and check the abort."""
         grid = make_grid(0.0, 10.0, 16384)
         # the time reverse of the packet at 30 DT: it refocuses, so each state
         # before the abort is taller than the last and worst depends on all of them
         spread = free_propagator(initial_datum(grid), 30 * DT, FractionalOrder(1.0))
         u = ComplexField(grid, np.conj(spread.values))
-        p = potential("delta_squared", eps=0.035, grid=grid)
+        p = potential(kind, eps=0.035, grid=grid)
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=40 * DT, record_every=20)
         # the datum and the step-by-step states of steps 1 .. j-1
         before = stepped_rows(u, p, replace(cfg, t_end=j * DT, record_every=1))[:-1]
         assert np.argmax(np.abs(before.view(float)).max(axis=1)) == j - 1
-        original, yielded = fracschrod.solver._SplitStep.stretch, []
+        original, flows = fracschrod.solver._SplitStep._column_flow, []
 
-        def stretch(self, values, out, steps):
-            for z in original(self, values, out, steps):
-                yielded.append(1)
-                if len(yielded) == j:  # the column-domain state of step j
-                    z[700] = np.nan
-                yield z
+        def column_flow(self, rc):
+            original(self, rc)
+            flows.append(1)
+            if len(flows) == j:  # the column-domain state of step j
+                rc.flat[700] = np.nan
 
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "stretch", stretch)
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "_column_flow", column_flow)
         with pytest.raises(NumericalAbort) as err:
             simulate(u, p, cfg)
-        assert j % cfg.record_every and len(yielded) == j  # unrecorded, inside a stretch
+        # step j is unrecorded, and the abort retakes steps 1 .. j-1 for worst
+        assert j % cfg.record_every and len(flows) == 2 * j - 1
         assert err.value.step == j
         assert err.value.time == j * DT
         assert err.value.epsilon == 0.035
         assert err.value.worst == np.max(np.abs(before.view(float)))
         assert err.value.worst < np.max(np.abs(before))
+
+    @pytest.mark.parametrize("j", [1, 27])
+    def test_nan_inside_a_stretch_keeps_the_step_by_step_diagnostics(self, monkeypatch, j):
+        self.abort_at(monkeypatch, "delta_squared", j)
+
+    def test_nan_in_a_dense_four_step_run_keeps_the_step_by_step_diagnostics(self, monkeypatch):
+        # p != 0 on every row: advance takes F0^-1, H, H, F0 between steps
+        self.abort_at(monkeypatch, "harmonic_shifted", 27)
 
 
 class TestStepPlan:
@@ -819,23 +849,22 @@ class TestSimulate:
         assert np.isfinite(err.value.worst)
 
     def test_nan_entering_a_four_step_run_aborts_at_that_step(self, monkeypatch):
-        original = fracschrod.solver._SplitStep.step
+        original = fracschrod.solver._SplitStep._column_flow
         outputs = []
 
-        def step(self, values, out):
-            if len(outputs) == 2:
-                values = np.array(values)
-                values[700] = np.nan
-            outputs.append(original(self, values, out).copy())
-            return out
+        def column_flow(self, rc):
+            if len(outputs) == 2:  # a NaN at node 700 entering step 3: F0 fills its column
+                rc[:, 700 % rc.shape[1]] = np.nan
+            original(self, rc)
+            outputs.append(rc.copy())
 
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", step)
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "_column_flow", column_flow)
         grid = make_grid(0.0, 10.0, 16384)
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.214)
         with pytest.raises(NumericalAbort) as err:
             simulate(initial_datum(grid), potential("zero", grid=grid), cfg)
         assert err.value.step == 3
-        assert np.all(np.isnan(outputs[-1]))
+        assert np.all(np.isnan(outputs[2]))  # step 3's; the abort retakes steps 1 and 2
 
     def test_abort_in_shortened_last_step(self, monkeypatch):
         original = fracschrod.solver._SplitStep.step

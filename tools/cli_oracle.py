@@ -85,10 +85,12 @@ INVOCATIONS = [
     ["--nx", "256", "simulate"],
     ["--help"],
     ["figures", "--help"],
-    # n >= 8192, where Strang's free flow is a four-step FFT: a run, and the
-    # fine reference (4x nodes) of a consistency check
+    # n >= 8192, where Strang's free flow is a four-step FFT: a run, a harmonic
+    # run that records every step, and the fine reference (4x nodes) of a
+    # consistency check
     ["simulate", "--backend", "spectral", "--nx", "16384", "--eps", "0.035",
      "--potential", "delta2"],
+    ["simulate", "--backend", "spectral", "--nx", "8192", "--potential", "harmonic"],
     ["consistency", "--backend", "spectral", "--nx", "2048"],
     # a sweep whose potential fit is flagged, and a spike no grid node samples
     ["sweep", "--nx", "64"],
