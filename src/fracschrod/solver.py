@@ -9,9 +9,8 @@ Crank-Nicolson, which only takes s = 1, ignores order):
   scaled prefix sums over a factor built once per run (_ThomasFactor).
 * spectral_strang: second-order Strang splitting (half potential phase,
   full free flow, half potential phase) on the periodic grid for any order
-  s, the free flow a single FFT pair below FOUR_STEP_MIN nodes and a
-  four-step FFT from there on (_SplitStep), where the steps of a segment
-  stay in the four-step column domain.
+  s, the free flow a four-step FFT (_SplitStep), in whose column domain
+  the steps of a segment stay.
 
 Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step, as
@@ -19,7 +18,8 @@ step_plan lays out.
 
 A stepper's step takes one step and its advance a segment of steps,
 yielding after each one an array that is finite exactly when the new state
-is.  simulate drives every stepper the same way, one advance per segment of
+is (for Strang, short of overflow near 1e308; _SplitStep.advance).
+simulate drives every stepper the same way, one advance per segment of
 the run (simulate lists them), which writes its last state straight into
 the next free row of one read-only (n_records, n) array allocated before
 the first step.  The check that aborts a run on a non-finite state
@@ -324,15 +324,7 @@ class _CrankNicolson:
             yield values
 
 
-# From FOUR_STEP_MIN nodes on the free flow is a four-step FFT.  A Strang
-# step took, over 10 placements of its work and state arrays (min of 9 each;
-# 2-vCPU Xeon, numpy 2.4.6), single FFT against four-step: 88-97 against
-# 84-94 us at n = 4096, 191-292 against 160-261 at 8192, 390-789 against
-# 335-510 at 16384 and 876-1089 against 718-866 at 32768.  At 4096 the two
-# tie, so n <= 4096 keeps the single transform and its arithmetic.
-FOUR_STEP_MIN = 8192
-
-# Between two four-step steps, advance applies the two half phases as a
+# Between two steps, advance applies the two half phases as a
 # rank-|S| update while p != 0 on at most _STRETCH_ROWS_MAX rows S of the
 # (R, C) view, and as F0^-1, H, H, F0 otherwise.  A step took, round trip
 # against rank update (min of 15 runs of 100 steps, one placement of the
@@ -362,90 +354,71 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
 class _SplitStep:
     """Half potential phase, full free flow, half potential phase.
 
+    The free flow is a four-step FFT (Bailey 1990) on the work array viewed
+    as (R, C), R = 2^floor(log2(n)/2) and C = n/R (Grid makes n a power of
+    two from 8 on, so the split runs from 2 x 4 up): fft along axis 0 (F0),
+    times the twiddle T[k1, n2] = exp(-2 pi i k1 n2 / n), fft along axis 1,
+    times K, ifft along axis 1, times conj(T), ifft along axis 0.  The
+    forward half leaves frequency k1 + R k2 at [k1, k2], so K is stored in
+    that transposed order; K is diagonal, so the inverse half takes the same
+    order back and no transpose is made.  T and conj(T) are built once per n
+    and shared (_twiddles).  Each short transform's scratch is a few
+    kilobytes, where numpy's length-n transform allocates an n-sized one per
+    call.
+
     The intermediate products go into one work array owned by the stepper
     and the new state into the caller's out array, so a step allocates
     nothing (``out=`` on the FFTs needs numpy 2.0).  values is read in full
     before out is written, so out may be values.  simulate passes the rows
     of a run's one record array, so a state is never copied to be recorded.
-    The kinetic factor is the left operand on purpose: numpy's complex
-    multiply uses fused multiply-adds and is not bitwise commutative, and
-    this order keeps the step equal to
-    half_phase * ifft(kinetic * fft(half_phase * values)).
+    K and each twiddle are the left operands of their multiplies on purpose:
+    numpy's complex multiply uses fused multiply-adds and is not bitwise
+    commutative, and this order keeps the step equal to
+    half_phase * G^-1(kinetic * G(half_phase * values)) with G and G^-1
+    spelled as the calls above.  It differs from the single-FFT step
+    half_phase * ifft(kinetic * fft(half_phase * values)) by roundoff, 1e-15
+    to 1.2e-14 of the peak after 30 steps at n = 16 to 32768.
 
-    From FOUR_STEP_MIN nodes on, the free flow is a four-step FFT (Bailey
-    1990) on the work array viewed as (R, C), R = 2^floor(log2(n)/2) and
-    C = n/R (n is a power of two, so both are): fft along axis 0, times the
-    twiddle T[k1, n2] = exp(-2 pi i k1 n2 / n), fft along axis 1, times K,
-    ifft along axis 1, times conj(T), ifft along axis 0.  The forward half
-    leaves frequency k1 + R k2 at [k1, k2], so K is stored in that
-    transposed order; K is diagonal, so the inverse half takes the same
-    order back and no transpose is made.  T and conj(T) are built once per n
-    and shared (_twiddles).  The size rule is measured (FOUR_STEP_MIN):
-    numpy's length-n transform allocates an n-sized scratch per call and
-    from n = 8192 on is slowed by where that scratch and the state land in
-    memory, while each short transform's scratch is a few kilobytes; at
-    n = 4096 the two paths tie, so up to there the step keeps the single
-    transform bit for bit.  The FMA note holds on both paths: K, like each
-    twiddle, is the left operand of its multiply, so the four-step step
-    equals half_phase * G^-1(kinetic * G(half_phase * values)) with G and
-    G^-1 spelled as the calls above.  It differs from the single-FFT step by
-    roundoff, about 1e-14 of the peak after 30 steps at n = 8192 to 32768.
-
-    advance takes a segment of steps: below FOUR_STEP_MIN one by one
-    through step, from there on in the column domain, and step there is its
-    one-step case.  It enters once through H and F0, runs each step's
+    step is the one-step case of advance, which takes a segment of steps in
+    the column domain.  It enters once through H and F0, runs each step's
     column flow and leaves once through F0^-1 and H.  Between two steps lie
     F0^-1, the two half phases H and F0 again.  Where p != 0 on at most
-    _STRETCH_ROWS_MAX rows S of the (R, C) view, H is exactly 1 off S, so
-    F0 diag(H*H) F0^-1 = I + F0 diag(H*H - 1) F0^-1 is the rank-|S| update
-    z += B((H*H - 1)[S] * (A z)), A = F0^-1 restricted to rows S and B = F0
-    restricted to columns S (_spike): a step makes two FFT calls instead of
-    four, and differs from one-by-one steps by roundoff, about 3e-14 of the
-    peak after 200 steps at n = 8192 and 16384.  Otherwise advance takes
-    the round trip as it stands, which equals separate steps bit for bit.
+    _STRETCH_ROWS_MAX rows S of the (R, C) view (every row up to n = 512),
+    H is exactly 1 off S, so F0 diag(H*H) F0^-1 = I + F0 diag(H*H - 1) F0^-1
+    is the rank-|S| update z += B((H*H - 1)[S] * (A z)), A = F0^-1
+    restricted to rows S and B = F0 restricted to columns S (_spike): a step
+    makes two FFT calls instead of four, and differs from one-by-one steps
+    by roundoff, a few 1e-14 of the peak after 200 steps.  Otherwise advance
+    takes the round trip as it stands, which equals separate steps bit for
+    bit.
     """
 
     def __init__(self, grid: Grid, p_values: np.ndarray, dt: float, order: FractionalOrder):
-        self._twiddles = _twiddles(grid.n) if grid.n >= FOUR_STEP_MIN else None
+        self._twiddles = _twiddles(grid.n)
+        rows, cols = self._twiddles[0].shape
         symbol = grid.wavenumber_power(2.0 * order.s)
         self._half_phase = np.exp(-0.5j * dt * p_values)
-        self._kinetic = np.exp(-1j * dt * symbol)
+        # K[k1 + R k2] to [k1, k2]
+        self._kinetic = np.exp(-1j * dt * symbol).reshape(cols, rows).T.copy()
         self._work = np.empty(grid.n, dtype=complex)
-        if self._twiddles is not None:
-            rows, cols = self._twiddles[0].shape
-            # K[k1 + R k2] to [k1, k2], permuted in place through the work array
-            self._work[...] = self._kinetic
-            self._kinetic = self._kinetic.reshape(rows, cols)
-            self._kinetic[...] = self._work.reshape(cols, rows).T
-            self._work_rc = self._work.reshape(rows, cols)
+        self._work_rc = self._work.reshape(rows, cols)
 
     def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self._twiddles is not None:
-            for _ in self.advance(values, out, 1):
-                pass
-            return out
-        work = self._work
-        np.multiply(self._half_phase, values, out=work)
-        np.fft.fft(work, out=work)
-        np.multiply(self._kinetic, work, out=work)
-        np.fft.ifft(work, out=work)
-        return np.multiply(self._half_phase, work, out=out)
+        for _ in self.advance(values, out, 1):
+            pass
+        return out
 
     def advance(self, values: np.ndarray, out: np.ndarray, steps: int):
         """Take steps steps from values into out, yielding after each one.
 
-        Below FOUR_STEP_MIN each yield is the new state.  On the four-step
-        path it is the work array holding the state x as F0(x / H): F0 is
-        invertible and spreads a non-finite entry over its column, so it is
-        finite exactly when x is.  values is read only on entry, so out may
-        be values; out (contiguous) holds B's product between steps and the
-        last state when exhausted.  Allocates no array.
+        Each yield is the work array holding the new state x as F0(x / H).
+        F0 is invertible and spreads a non-finite entry over its column, so
+        the yield is finite exactly when x is, except where F0's sums of R
+        entries overflow, that is where x reaches about 1e308/R.  values is
+        read only on entry, so out may be values; out (contiguous) holds B's
+        product between steps and the last state when exhausted.  Allocates
+        no array.
         """
-        if self._twiddles is None:
-            for _ in range(steps):
-                values = self.step(values, out)
-                yield values
-            return
         work, rc, out_rc = self._work, self._work_rc, out.reshape(self._work_rc.shape)
         np.multiply(self._half_phase, values, out=work)
         np.fft.fft(rc, axis=0, out=rc)
@@ -479,7 +452,7 @@ class _SplitStep:
 
     @cached_property
     def _spike(self):
-        """A, (H*H - 1)[S], B and a buffer for A z on the four-step path.
+        """A, (H*H - 1)[S], B and a buffer for A z.
 
         None where p != 0 on more than _STRETCH_ROWS_MAX rows.
         """

@@ -285,8 +285,8 @@ class TestConsistency:
     @pytest.mark.parametrize("reference", ["fine", "matched"])
     def test_reference_abort_names_the_largest_width(self, monkeypatch, reference):
         # the unsmoothed reference runs first, sampled at the largest width
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
-                            lambda self, values, out: np.multiply(values, np.nan, out=out))
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "_column_flow",
+                            lambda self, rc: np.multiply(rc, np.nan, out=rc))
         solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
         cfg = quick_config(kind="harmonic_shifted", n=256, solver=solver)
         with pytest.raises(NumericalAbort) as err:
@@ -482,8 +482,8 @@ class TestFigureEmission:
 
     @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_abort_names_the_width(self, tmp_path, monkeypatch, figure):
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step",
-                            lambda self, values, out: np.multiply(values, np.nan, out=out))
+        monkeypatch.setattr(fracschrod.solver._SplitStep, "_column_flow",
+                            lambda self, rc: np.multiply(rc, np.nan, out=rc))
         solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
         with pytest.raises(NumericalAbort) as err:
             emit_figure_data(quick_config(n=256, solver=solver), figure, str(tmp_path))

@@ -417,7 +417,8 @@ class TestSplitStepKernel:
     @staticmethod
     def stepper(n, s=1.0):
         grid = make_grid(0.0, 10.0, n)
-        p = potential("delta_squared", eps=0.05, grid=grid)
+        # a spike at least a node spacing wide, so a node samples it at every n
+        p = potential("delta_squared", eps=max(0.05, grid.dx), grid=grid)
         return grid, fracschrod.solver._SplitStep(grid, p.field.values, DT, FractionalOrder(s))
 
     @staticmethod
@@ -432,40 +433,35 @@ class TestSplitStepKernel:
         g = conj_twiddle * f
         return np.fft.ifft(g, axis=0).reshape(a.shape)
 
-    # n = 16384 is where numpy elides temporaries of an unnamed expression,
-    # and it takes the four-step free flow; 1024 and 4096 take the single FFT
+    # n = 16384 is where numpy elides temporaries of an unnamed expression;
+    # 1024 and 4096 are square splits below it, 32 x 32 and 64 x 64
     @pytest.mark.parametrize("s", [0.75, 1.0])
     @pytest.mark.parametrize("n", [1024, 4096, 16384])
     def test_step_equals_named_temporaries(self, n, s):
         grid, stepper = self.stepper(n, s)
-        hp, kin = stepper._half_phase, stepper._kinetic
-        assert (stepper._twiddles is None) == (n <= 4096)  # the size rule
+        hp = stepper._half_phase
         v = initial_datum(grid).values
         for _ in range(30):
             a = hp * v
-            if stepper._twiddles is None:
-                b = np.fft.fft(a)
-                c = kin * b
-                d = np.fft.ifft(c)
-            else:
-                d = self.four_step_free_flow(stepper, a)
+            d = self.four_step_free_flow(stepper, a)
             expected = hp * d
             v = stepper.step(v, np.empty_like(v))
             assert np.array_equal(v, expected)
 
-    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    # square splits (16 is 4 x 4) and non-square ones (2048 is 32 x 64)
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048, 4096, 8192, 16384, 32768])
     def test_four_step_matches_single_fft(self, n):
-        grid, stepper = self.stepper(n)
-        assert stepper._twiddles is not None
-        rows, cols = stepper._twiddles[0].shape
-        assert rows * cols == n and cols in (rows, 2 * rows)
-        hp = stepper._half_phase
-        kin = np.exp(-1j * DT * grid.wavenumber_power(2.0))
-        v = ref = initial_datum(grid).values
-        for _ in range(30):
-            v = stepper.step(v, np.empty_like(v))
-            ref = hp * np.fft.ifft(kin * np.fft.fft(hp * ref))
-        assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for s in (0.75, 1.0):
+            grid, stepper = self.stepper(n, s)
+            rows, cols = stepper._twiddles[0].shape
+            assert rows * cols == n and cols in (rows, 2 * rows)
+            hp = stepper._half_phase
+            kin = np.exp(-1j * DT * grid.wavenumber_power(2.0 * s))
+            v = ref = initial_datum(grid).values
+            for _ in range(30):
+                v = stepper.step(v, np.empty_like(v))
+                ref = hp * np.fft.ifft(kin * np.fft.fft(hp * ref))
+            assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_twiddles_are_shared_and_read_only(self):
         (_, first), (_, second) = self.stepper(16384), self.stepper(16384, 0.75)
@@ -534,7 +530,7 @@ class TestStretch:
                                           ("delta_squared", 0.035), ("delta_squared", 0.15),
                                           ("zero", 0.3)])
     @pytest.mark.parametrize("record_every", [10, 100])
-    @pytest.mark.parametrize("n", [8192, 16384])
+    @pytest.mark.parametrize("n", [1024, 4096, 8192, 16384])
     def test_recorded_rows_match_step_by_step(self, n, record_every, kind, eps):
         u, p, cfg = self.run(n, kind, eps, record_every, steps=2 * record_every + 5)
         stepper = fracschrod.solver._SplitStep(u.grid, p.field.values, DT, cfg.order)
@@ -568,12 +564,10 @@ class TestStretch:
         tr = simulate(u, p, cfg)
         assert np.array_equal(tr.values, stepped_rows(u, p, cfg))
 
-    # the other routes advance takes, each with a shortened last step: CN and
-    # the single FFT one step at a time, and a dense four-step run recording
-    # every step
+    # the other routes advance takes, each with a shortened last step: CN one
+    # step at a time, and a dense four-step run recording every step
     @pytest.mark.parametrize("backend,n,kind,record_every",
                              [("crank_nicolson", 1024, "delta", 1),
-                              ("spectral_strang", 4096, "delta_squared", 3),
                               ("spectral_strang", 8192, "harmonic_shifted", 1)])
     def test_every_route_is_step_by_step_bit_for_bit(self, backend, n, kind, record_every):
         u, p, cfg = self.run(n, kind, 0.035, record_every, steps=20)
@@ -690,6 +684,32 @@ class TestStepPlan:
 
 
 class TestSimulate:
+    @staticmethod
+    def patch_new_states(monkeypatch, backend, fault):
+        """Call fault on each new state a step forms, before simulate checks it.
+
+        A Crank-Nicolson step forms the state itself.  A Strang advance yields
+        the column-domain state that _SplitStep._column_flow leaves, so the
+        fault goes in there, on the flat view of that state.
+        """
+        if backend == "crank_nicolson":
+            original = fracschrod.solver._CrankNicolson.step
+
+            def step(self, values, out):
+                original(self, values, out)
+                fault(out)
+                return out
+
+            monkeypatch.setattr(fracschrod.solver._CrankNicolson, "step", step)
+        else:
+            original = fracschrod.solver._SplitStep._column_flow
+
+            def column_flow(self, rc):
+                original(self, rc)
+                fault(rc.reshape(-1))
+
+            monkeypatch.setattr(fracschrod.solver._SplitStep, "_column_flow", column_flow)
+
     def test_peak_memory_is_bounded_by_the_records(self):
         n = 16384
         grid = make_grid(0.0, 10.0, n)
@@ -836,12 +856,10 @@ class TestSimulate:
     @pytest.mark.parametrize("bad", ["inf_real", "nan_imag"])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_one_bad_component_aborts(self, monkeypatch, backend, bad):
-        def bad_step(self, values, out):
-            out[...] = values
-            out[700] = complex(np.inf, 0.0) if bad == "inf_real" else complex(1e-3, np.nan)
-            return out
+        def bad_component(z):
+            z[700] = complex(np.inf, 0.0) if bad == "inf_real" else complex(1e-3, np.nan)
 
-        monkeypatch.setattr(fracschrod.solver._STEPPERS[backend], "step", bad_step)
+        self.patch_new_states(monkeypatch, backend, bad_component)
         cfg = SolverConfig(backend=backend, dt=DT, t_end=0.214)
         with pytest.raises(NumericalAbort) as err:
             simulate(initial_datum(GRID), potential("zero"), cfg)
@@ -867,17 +885,14 @@ class TestSimulate:
         assert np.all(np.isnan(outputs[2]))  # step 3's; the abort retakes steps 1 and 2
 
     def test_abort_in_shortened_last_step(self, monkeypatch):
-        original = fracschrod.solver._SplitStep.step
         calls = []
 
-        def step(self, values, out):
+        def fault(z):
             calls.append(1)
-            original(self, values, out)
             if len(calls) == 5:
-                out *= np.nan
-            return out
+                z *= np.nan
 
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", step)
+        self.patch_new_states(monkeypatch, "spectral_strang", fault)
         t_end = 0.05  # four full steps, then a shortened one
         cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=t_end)
         with pytest.raises(NumericalAbort) as err:
@@ -886,13 +901,15 @@ class TestSimulate:
         assert err.value.time == t_end
 
     def test_overflowing_modulus_of_finite_components_does_not_abort(self, monkeypatch):
+        # on Crank-Nicolson, whose yields are the states themselves: Strang's
+        # column-domain yields overflow near 1e308/R (_SplitStep.advance)
         huge = 1.7e308 * (1 + 1j)  # finite parts, |huge| overflows to inf
         def flat_step(self, values, out):
             out.fill(huge)
             return out
 
-        monkeypatch.setattr(fracschrod.solver._SplitStep, "step", flat_step)
-        cfg = SolverConfig(backend="spectral_strang", dt=DT, t_end=2 * DT)
+        monkeypatch.setattr(fracschrod.solver._CrankNicolson, "step", flat_step)
+        cfg = SolverConfig(backend="crank_nicolson", dt=DT, t_end=2 * DT)
         with np.errstate(over="ignore", invalid="ignore"):
             tr = simulate(initial_datum(GRID), potential("zero"), cfg)
         assert len(tr.states) == 3
@@ -900,10 +917,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nan_state_aborts_with_diagnostics(self, monkeypatch, backend):
-        def bad_step(self, values, out):
-            return np.multiply(values, np.nan, out=out)
-
-        monkeypatch.setattr(fracschrod.solver._STEPPERS[backend], "step", bad_step)
+        self.patch_new_states(monkeypatch, backend, lambda z: np.multiply(z, np.nan, out=z))
         u = initial_datum(GRID)
         cfg = SolverConfig(backend=backend, dt=DT, t_end=0.214)
         with pytest.raises(NumericalAbort) as err:
@@ -920,16 +934,14 @@ class TestSimulate:
         p = potential("delta", eps=0.05)
         cfg = SolverConfig(backend=backend, dt=DT, t_end=2 * DT, record_every=1)
         before = simulate(u, p, cfg).values  # the datum and the first two states
-        original, calls = fracschrod.solver._STEPPERS[backend].step, []
+        calls = []
 
-        def step(self, values, out):
+        def fault(z):
             calls.append(1)
-            original(self, values, out)
             if len(calls) == 3:
-                out[700] = np.nan
-            return out
+                z[700] = np.nan
 
-        monkeypatch.setattr(fracschrod.solver._STEPPERS[backend], "step", step)
+        self.patch_new_states(monkeypatch, backend, fault)
         with pytest.raises(NumericalAbort) as err:
             simulate(u, p, replace(cfg, t_end=0.214))
         assert err.value.step == 3

@@ -85,9 +85,8 @@ INVOCATIONS = [
     ["--nx", "256", "simulate"],
     ["--help"],
     ["figures", "--help"],
-    # n >= 8192, where Strang's free flow is a four-step FFT: a run, a harmonic
-    # run that records every step, and the fine reference (4x nodes) of a
-    # consistency check
+    # Strang at n >= 8192: a run, a harmonic run that records every step, and
+    # the fine reference (4x nodes) of a consistency check
     ["simulate", "--backend", "spectral", "--nx", "16384", "--eps", "0.035",
      "--potential", "delta2"],
     ["simulate", "--backend", "spectral", "--nx", "8192", "--potential", "harmonic"],
