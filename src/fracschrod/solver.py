@@ -16,17 +16,17 @@ Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step, as
 step_plan lays out.
 
-A stepper's step takes one step and its advance a segment of steps,
+A stepper's one stepping method, advance, takes a segment of steps,
 yielding after each one an array that is finite exactly when the new state
-is (for Strang, short of overflow near 1e308; _SplitStep.advance).
-simulate drives every stepper the same way, one advance per segment of
-the run (simulate lists them), which writes its last state straight into
-the next free row of one read-only (n_records, n) array allocated before
-the first step.  The check that aborts a run on a non-finite state
-(_checked_peak) allocates nothing, so a Strang run allocates nothing per
-step (a Crank-Nicolson step builds its right-hand side in temporaries).
-Keeping one recorded state keeps that whole array alive: copy a row to
-hold it longer than its run.
+is (for Strang, short of overflow near 1e308; _SplitStep.advance); _step
+is a one-step advance.  simulate drives every stepper the same way, one
+advance per segment of the run (simulate lists them), which writes its
+last state straight into the next free row of one read-only (n_records,
+n) array allocated before the first step.  The test that aborts a run on
+a non-finite state (_peak) allocates nothing, so a Strang run allocates
+nothing per step (a Crank-Nicolson step builds its right-hand side in
+temporaries).  Keeping one recorded state keeps that whole array alive:
+copy a row to hold it longer than its run.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class NumericalAbort(RuntimeError):
     """A state stopped being finite mid-run at regularization width epsilon.
 
     worst is the largest |Re| or |Im| of any component of the finite states
-    before it (within a factor sqrt(2) of their largest modulus).
+    before it (within a factor sqrt(2) of their largest modulus).  simulate
+    raises it in one place (_abort finds worst), chaining no exception.
     """
 
     def __init__(self, step: int, time: float, worst: float, epsilon: float):
@@ -308,19 +309,15 @@ class _CrankNicolson:
         band = np.full(grid.n - 2, 0.5 * a)
         self._factor = _ThomasFactor(band, self._idt - (a + 0.5 * self._p_in), band)
 
-    def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the next state into out and return it; out may be values."""
-        inner = values[1:-1]
-        h_inner = (2.0 * inner - values[:-2] - values[2:]) * self._a + self._p_in * inner
-        rhs = self._idt * inner + 0.5 * h_inner
-        out[0] = out[-1] = 0.0
-        self._factor.solve(rhs, out[1:-1])
-        return out
-
     def advance(self, values: np.ndarray, out: np.ndarray, steps: int):
-        """Take steps steps from values into out one by one, yielding each new state."""
+        """Take steps steps from values into out, yielding each new state; out may be values."""
         for _ in range(steps):
-            values = self.step(values, out)
+            inner = values[1:-1]
+            h_inner = (2.0 * inner - values[:-2] - values[2:]) * self._a + self._p_in * inner
+            rhs = self._idt * inner + 0.5 * h_inner
+            out[0] = out[-1] = 0.0
+            self._factor.solve(rhs, out[1:-1])
+            values = out
             yield values
 
 
@@ -379,7 +376,7 @@ class _SplitStep:
     half_phase * ifft(kinetic * fft(half_phase * values)) by roundoff, 1e-15
     to 1.2e-14 of the peak after 30 steps at n = 16 to 32768.
 
-    step is the one-step case of advance, which takes a segment of steps in
+    advance, the stepper's one stepping method, takes a segment of steps in
     the column domain.  It enters once through H and F0, runs each step's
     column flow and leaves once through F0^-1 and H.  Between two steps lie
     F0^-1, the two half phases H and F0 again.  Where p != 0 on at most
@@ -402,11 +399,6 @@ class _SplitStep:
         self._kinetic = np.exp(-1j * dt * symbol).reshape(cols, rows).T.copy()
         self._work = np.empty(grid.n, dtype=complex)
         self._work_rc = self._work.reshape(rows, cols)
-
-    def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for _ in self.advance(values, out, 1):
-            pass
-        return out
 
     def advance(self, values: np.ndarray, out: np.ndarray, steps: int):
         """Take steps steps from values into out, yielding after each one.
@@ -472,10 +464,17 @@ _STEPPERS = {"crank_nicolson": _CrankNicolson, "spectral_strang": _SplitStep}
 BACKENDS = tuple(_STEPPERS)
 
 
+def _step(stepper, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Take one step of stepper from values into out and return out; out may be values."""
+    for _ in stepper.advance(values, out, 1):
+        pass
+    return out
+
+
 def _one_step(u: ComplexField, p: RegularizedPotential, config: SolverConfig) -> ComplexField:
     require_same_grid(u, p.field)
     stepper = _STEPPERS[config.backend](u.grid, p.field.values, config.dt, config.order)
-    return ComplexField(u.grid, stepper.step(u.values, np.empty_like(u.values)))
+    return ComplexField(u.grid, _step(stepper, u.values, np.empty_like(u.values)))
 
 
 def cn_step(u: ComplexField, p: RegularizedPotential, dt: float) -> ComplexField:
@@ -512,12 +511,12 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     stepper into the next free row, which moves on only after a recorded
     step, so a segment's last state is its only one kept.  Any non-finite
     state aborts the run with step diagnostics, the largest finite |Re| or
-    |Im| seen and the width of the potential (NumericalAbort); the check is
-    one max and one min over the real view of each array advance yields and
-    allocates nothing per step (_checked_peak).  An advance need not form
-    its states in x, so an abort finds worst by retaking the steps before it
-    one by one from the datum.  The observables of the recorded states are
-    computed on their first read from the trajectory.
+    |Im| seen and the width of the potential (NumericalAbort), raised once,
+    here; the test is one max and one min over the real view of each array
+    advance yields and allocates nothing per step (_peak).  An advance need
+    not form its states in x, so _abort finds worst by retaking the steps
+    before the abort one by one from the datum.  The observables of the
+    recorded states are computed on their first read from the trajectory.
     """
     require_same_grid(u0, potential.field)
     grid, p_values, epsilon = u0.grid, potential.field.values, potential.epsilon
@@ -532,7 +531,6 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     times = np.array([0.0, *(i * dt for i in marked), config.t_end])
     rows = np.empty((len(times), grid.n), dtype=complex)
     rows[0] = u0.values
-    worst = _checked_peak(rows[0], 0, 0.0, 0.0, epsilon)  # u0 is finite
 
     stepper = make_stepper(grid, p_values, dt, config.order)
     segments = [(stepper, start, min(start + config.record_every, n_full))
@@ -541,39 +539,41 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
         segments.append((make_stepper(grid, p_values, remainder, config.order),
                          n_full, n_full + 1))
     values, k = rows[0], 1  # k: the next free row
-    try:
-        for segment_stepper, start, stop in segments:
-            states = segment_stepper.advance(values, rows[k], stop - start)
-            for i, z in enumerate(states, start + 1):
-                _checked_peak(z, i, i * dt if i <= n_full else config.t_end, worst, epsilon)
-            values = rows[k]
-            if stop in marked:
-                k += 1
-    except NumericalAbort as abort:
-        # retake the steps before the abort one by one from the datum, into a
-        # row the abort discards, for the largest component they reach
-        values = rows[0]
-        for i in range(1, abort.step):
-            values = stepper.step(values, rows[-1])
-            worst = max(worst, _checked_peak(values, i, i * dt, worst, epsilon))
-        raise NumericalAbort(abort.step, abort.time, worst, epsilon) from None
+    for segment_stepper, start, stop in segments:
+        states = segment_stepper.advance(values, rows[k], stop - start)
+        for i, z in enumerate(states, start + 1):
+            if not np.isfinite(_peak(z)):
+                raise _abort(stepper, rows, i, i * dt if i <= n_full else config.t_end, epsilon)
+        values = rows[k]
+        if stop in marked:
+            k += 1
 
     return Trajectory(times=times, values=rows, potential=potential.field, order=config.order)
 
 
-def _checked_peak(values: np.ndarray, step: int, time: float, worst: float,
-                  epsilon: float) -> float:
-    """Largest |Re| or |Im| of a new state; a non-finite component aborts the run.
+def _peak(values: np.ndarray) -> float:
+    """Largest |Re| or |Im| of a state, not finite exactly when a component is not.
 
     The peak is the max and the negated min of the state's real view (its
     real and imaginary parts; every row and work array simulate passes is
-    contiguous).
-    max and min propagate NaN and +-inf, so the peak is finite exactly when
-    every component is: one reduction decides the abort and gives the
-    diagnostic, with no modulus, and the call allocates nothing.
+    contiguous).  max and min propagate NaN and +-inf, so one reduction
+    decides the abort and gives the diagnostic, with no modulus, and the
+    call allocates nothing.
     """
-    peak = float(max(values.view(float).max(), -values.view(float).min()))
-    if not np.isfinite(peak):
-        raise NumericalAbort(step, time, worst, epsilon)
-    return peak
+    return float(max(values.view(float).max(), -values.view(float).min()))
 
+
+def _abort(stepper, rows: np.ndarray, step: int, time: float, epsilon: float) -> NumericalAbort:
+    """The NumericalAbort of a run whose state first stopped being finite at step.
+
+    An advance need not form its states in x, so worst is the largest peak
+    of the datum rows[0] and of steps 1 .. step-1 retaken one by one (_step)
+    into rows[-1], a row the abort discards.  worst keeps the largest finite
+    peak because Python's max keeps its first argument against NaN.
+    """
+    values = rows[0]
+    worst = _peak(values)  # the datum is a field, so finite
+    for _ in range(1, step):
+        values = _step(stepper, values, rows[-1])
+        worst = max(worst, _peak(values))
+    return NumericalAbort(step, time, worst, epsilon)

@@ -406,9 +406,18 @@ def test_step_in_place_equals_fresh_out(backend, s):
     stepper = fracschrod.solver._STEPPERS[backend](GRID, p, DT, FractionalOrder(s))
     v = np.array(initial_datum(GRID).values)
     for _ in range(10):
-        fresh = stepper.step(v, np.empty_like(v))
-        assert stepper.step(v, v) is v
+        fresh = fracschrod.solver._step(stepper, v, np.empty_like(v))
+        assert fracschrod.solver._step(stepper, v, v) is v
         assert np.array_equal(v, fresh)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_step_equals_row_one_of_a_one_step_run(backend):
+    u, p = initial_datum(GRID), potential("delta_squared", eps=0.05)
+    cfg = SolverConfig(backend=backend, dt=DT, t_end=DT)
+    stepper = fracschrod.solver._STEPPERS[backend](GRID, p.field.values, DT, cfg.order)
+    stepped = fracschrod.solver._step(stepper, u.values, np.empty_like(u.values))
+    assert np.array_equal(stepped, simulate(u, p, cfg).values[1])
 
 
 class TestSplitStepKernel:
@@ -445,7 +454,7 @@ class TestSplitStepKernel:
             a = hp * v
             d = self.four_step_free_flow(stepper, a)
             expected = hp * d
-            v = stepper.step(v, np.empty_like(v))
+            v = fracschrod.solver._step(stepper, v, np.empty_like(v))
             assert np.array_equal(v, expected)
 
     # square splits (16 is 4 x 4) and non-square ones (2048 is 32 x 64)
@@ -459,7 +468,7 @@ class TestSplitStepKernel:
             kin = np.exp(-1j * DT * grid.wavenumber_power(2.0 * s))
             v = ref = initial_datum(grid).values
             for _ in range(30):
-                v = stepper.step(v, np.empty_like(v))
+                v = fracschrod.solver._step(stepper, v, np.empty_like(v))
                 ref = hp * np.fft.ifft(kin * np.fft.fft(hp * ref))
             assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -476,11 +485,11 @@ class TestSplitStepKernel:
         n = 16384
         grid, stepper = self.stepper(n)
         v = np.array(initial_datum(grid).values)
-        stepper.step(v, v)  # warm-up: FFT plans
+        fracschrod.solver._step(stepper, v, v)  # warm-up: FFT plans
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            out = stepper.step(v, v)
+            out = fracschrod.solver._step(stepper, v, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -500,17 +509,17 @@ class TestSplitStepKernel:
 
 
 def stepped_rows(u, p, cfg):
-    """The states simulate records for cfg, each step a call of its stepper's step."""
-    make = fracschrod.solver._STEPPERS[cfg.backend]
+    """The states simulate records for cfg, each step a one-step advance (_step)."""
+    make, step = fracschrod.solver._STEPPERS[cfg.backend], fracschrod.solver._step
     n_full, remainder = step_plan(cfg.t_end, cfg.dt)
     stepper = make(u.grid, p.field.values, cfg.dt, cfg.order)
     v, rows = u.values, [u.values]
     for i in range(1, n_full + 1):
-        v = stepper.step(v, np.empty_like(v))
+        v = step(stepper, v, np.empty_like(v))
         if i % cfg.record_every == 0 and (i < n_full or remainder):
             rows.append(v)
     if remainder:
-        v = make(u.grid, p.field.values, remainder, cfg.order).step(v, np.empty_like(v))
+        v = step(make(u.grid, p.field.values, remainder, cfg.order), v, np.empty_like(v))
     return np.array([*rows, v])
 
 
@@ -688,19 +697,21 @@ class TestSimulate:
     def patch_new_states(monkeypatch, backend, fault):
         """Call fault on each new state a step forms, before simulate checks it.
 
-        A Crank-Nicolson step forms the state itself.  A Strang advance yields
-        the column-domain state that _SplitStep._column_flow leaves, so the
-        fault goes in there, on the flat view of that state.
+        A Crank-Nicolson step forms the state itself, its interior in the one
+        _ThomasFactor.solve it makes, so the fault goes on that interior.  A
+        Strang advance yields the column-domain state that
+        _SplitStep._column_flow leaves, so the fault goes in there, on the
+        flat view of that state.
         """
         if backend == "crank_nicolson":
-            original = fracschrod.solver._CrankNicolson.step
+            original = fracschrod.solver._ThomasFactor.solve
 
-            def step(self, values, out):
-                original(self, values, out)
+            def solve(self, rhs, out):
+                original(self, rhs, out)
                 fault(out)
                 return out
 
-            monkeypatch.setattr(fracschrod.solver._CrankNicolson, "step", step)
+            monkeypatch.setattr(fracschrod.solver._ThomasFactor, "solve", solve)
         else:
             original = fracschrod.solver._SplitStep._column_flow
 
@@ -904,11 +915,12 @@ class TestSimulate:
         # on Crank-Nicolson, whose yields are the states themselves: Strang's
         # column-domain yields overflow near 1e308/R (_SplitStep.advance)
         huge = 1.7e308 * (1 + 1j)  # finite parts, |huge| overflows to inf
-        def flat_step(self, values, out):
-            out.fill(huge)
-            return out
+        def flat_advance(self, values, out, steps):
+            for _ in range(steps):
+                out.fill(huge)
+                yield out
 
-        monkeypatch.setattr(fracschrod.solver._CrankNicolson, "step", flat_step)
+        monkeypatch.setattr(fracschrod.solver._CrankNicolson, "advance", flat_advance)
         cfg = SolverConfig(backend="crank_nicolson", dt=DT, t_end=2 * DT)
         with np.errstate(over="ignore", invalid="ignore"):
             tr = simulate(initial_datum(GRID), potential("zero"), cfg)
@@ -948,6 +960,25 @@ class TestSimulate:
         assert err.value.worst == np.max(np.abs(before.view(float)))
         assert err.value.worst < np.max(np.abs(before))
 
+    # the last case faults step 3 inside a 20-step Strang segment
+    @pytest.mark.parametrize("backend,record_every", [("crank_nicolson", 1),
+                                                      ("spectral_strang", 1),
+                                                      ("spectral_strang", 20)])
+    def test_abort_chains_no_exception(self, monkeypatch, backend, record_every):
+        calls = []
+
+        def fault(z):
+            calls.append(1)
+            if len(calls) == 3:
+                z[700] = np.nan
+
+        self.patch_new_states(monkeypatch, backend, fault)
+        cfg = SolverConfig(backend=backend, dt=DT, t_end=0.214, record_every=record_every)
+        with pytest.raises(NumericalAbort) as err:
+            simulate(initial_datum(GRID), potential("delta", eps=0.05), cfg)
+        assert err.value.step == 3
+        assert err.value.__context__ is None and err.value.__cause__ is None
+
     def test_apriori_bound_on_regular_potentials(self):
         # sup_t ||u(t)|| <= C (1 + sup|p|) ||u0|| with one modest constant
         u = initial_datum(GRID)
@@ -975,9 +1006,8 @@ class TestAbortRule:
                 parts[2 * node + part] = bad
                 seen.add((node if node in (0, n - 1) else "inside", part, str(bad)))
             values = parts.view(complex)
-            try:
-                peak = fracschrod.solver._checked_peak(values, 1, DT, 0.0, 0.05)
-            except NumericalAbort:
+            peak = fracschrod.solver._peak(values)
+            if not np.isfinite(peak):
                 assert not np.all(np.isfinite(values))
             else:
                 assert np.all(np.isfinite(values)) and peak == np.max(np.abs(parts))
@@ -986,12 +1016,12 @@ class TestAbortRule:
     def test_check_allocates_nothing(self):
         n = 16384
         values = np.array(initial_datum(make_grid(0.0, 10.0, n)).values)
-        check = fracschrod.solver._checked_peak
-        check(values, 1, DT, 0.0, 0.05)  # warm-up
+        check = fracschrod.solver._peak
+        check(values)  # warm-up
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            check(values, 1, DT, 0.0, 0.05)
+            check(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
