@@ -36,16 +36,14 @@ from .harness import (
     check_figure,
     consistency_experiment,
     delta_squared_energy_scaling,
-    density_rows,
     emit_figure_data,
-    energy_rows,
     epsilon_sweep,
-    single_run,
+    run_tables,
     uniqueness_experiment,
     write_csv,
     write_manifest,
 )
-from .harness import DENSITY_HEADER, DENSITY_NAME, ENERGY_HEADER, ENERGY_NAME, FIGURES
+from .harness import DENSITY_NAME, FIGURES
 from .mollifier import PotentialSpec
 from .operators import FractionalOrder
 from .solver import NumericalAbort, SolverConfig
@@ -107,12 +105,7 @@ def cmd_simulate(cfg: ExperimentConfig, settings: dict, out: str):
     if len(cfg.epsilons) != 1:
         raise ValueError("simulate runs a single width; pass exactly one --eps value")
     epsilon = cfg.epsilons[0]
-    trajectory = single_run(cfg, epsilon)
-    files = [
-        _table(out, DENSITY_NAME.format(t=cfg.solver.t_end, eps=epsilon),
-               DENSITY_HEADER, density_rows(trajectory.states[-1])),
-        _table(out, ENERGY_NAME.format(eps=epsilon), ENERGY_HEADER, energy_rows(trajectory)),
-    ]
+    files, trajectory = run_tables(cfg, epsilon, (cfg.solver.t_end,), DENSITY_NAME, True, out)
     mass, energy = float(trajectory.mass[-1]), float(trajectory.energy[-1])
     return (files, {"epsilon": epsilon, "final_mass": mass, "final_energy": energy},
             f"simulate: eps={epsilon:g} final mass {mass:.6g} "

@@ -9,18 +9,21 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 * consistency_experiment: smooth a regular potential and compare against the
   unsmoothed reference as the width shrinks.
 * emit_figure_data: write the density and energy tables behind the standard
-  plots; returns their names.
+  plots through run_tables; returns their names.
 * delta_squared_energy_scaling: track the largest energy per width for the
   squared-bump model.
 
 single_run builds one width's run and returns its trajectory, which holds
 the potential samples and, as states[0], the datum; simulate's aborts
 name the width.  Every width runs through it, one at a time, as does
-consistency's refined reference; consistency's smoothed runs and
-uniqueness's shifted run call simulate.  Each driver keeps only what it
-reports (a record, a gap, a peak, a file name), so at most one width's
-runs are alive at once.  The figures are one table, FIGURE_RUNS, and
-their snapshot times follow simulate's own step plan (solver.step_plan).
+consistency's refined reference.  Three runs call simulate themselves:
+consistency's smoothed runs, uniqueness's shifted run and a figure
+snapshot's shortened step.  Each driver keeps only what it reports (a
+record, a gap, a peak, a file name), so at most one width's runs are alive
+at once.  run_tables is the one writer of density and energy tables, for
+the simulate command and for every figure.  The figures are one table,
+FIGURE_RUNS, and their snapshot times follow simulate's own step plan
+(solver.step_plan).
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr; write_csv makes its table's directory.  Run
@@ -73,6 +76,7 @@ __all__ = [
     "delta_squared_energy_scaling",
     "check_figure",
     "emit_figure_data",
+    "run_tables",
     "write_csv",
     "write_manifest",
     "density_rows",
@@ -101,16 +105,17 @@ POTENTIAL_TAGS = {"zero": "zero", "constant_one": "one", "harmonic_shifted": "ha
 DENSITY_NAME = "density_t{t:.4f}_eps{eps:g}.csv"
 ENERGY_NAME = "energy_eps{eps:g}.csv"
 
-# per figure: density runs (potential kind, widths, snapshot times, file
-# name template) and energy tables (potential kind, widths), in run order
+# per figure, in run order: (potential kind, widths, snapshot times, density
+# file name template, whether to write the energy table); a run with no
+# snapshot times runs to cfg's t_end
 FIGURE_RUNS = {
-    "fig1": ([("delta", (0.05,), FIG1_TIMES, DENSITY_NAME)], []),
-    "fig2": ([(kind, (0.05,), FIG2_TIMES, f"density_p{POTENTIAL_TAGS[kind]}_t{{t:.4f}}.csv")
-              for kind in REGULAR_KINDS], []),
-    "fig3": ([("delta", FIG3_EPSILONS, (FIG3_TIME,), DENSITY_NAME)], []),
-    "fig4": ([], [("delta", FIG4_EPSILONS)]),
-    "fig5": ([("delta_squared", (0.05,), FIG5_TIMES, DENSITY_NAME)],
-             [("delta_squared", FIG5_ENERGY_EPSILONS)]),
+    "fig1": [("delta", (0.05,), FIG1_TIMES, DENSITY_NAME, False)],
+    "fig2": [(kind, (0.05,), FIG2_TIMES, f"density_p{POTENTIAL_TAGS[kind]}_t{{t:.4f}}.csv", False)
+             for kind in REGULAR_KINDS],
+    "fig3": [("delta", FIG3_EPSILONS, (FIG3_TIME,), DENSITY_NAME, False)],
+    "fig4": [("delta", FIG4_EPSILONS, (), None, True)],
+    "fig5": [("delta_squared", (0.05,), FIG5_TIMES, DENSITY_NAME, False),
+             ("delta_squared", FIG5_ENERGY_EPSILONS, (), None, True)],
 }
 FIGURES = tuple(FIGURE_RUNS)
 
@@ -431,12 +436,14 @@ def energy_rows(trajectory: Trajectory):
 # Figure data
 
 
-def _density_snapshots(cfg: ExperimentConfig, epsilon: float, times, out: str,
-                       name: str) -> list[str]:
-    """Run cfg at one width and dump one density table per requested time.
+def run_tables(cfg: ExperimentConfig, epsilon: float, times, name: str | None,
+               energy: bool, out: str) -> tuple[list[str], Trajectory]:
+    """Run cfg at one width, write its tables into out; returns their names and the run.
 
-    t_end is the run's last row; an earlier time off the step grid (custom dt)
-    is one shortened step from the row step_plan counts, as a run ending there.
+    One density table per snapshot time, named by name, then the energy table
+    if energy is set.  t_end is the run's last row; an earlier time off the
+    step grid (custom dt) is one shortened step from the row step_plan counts,
+    as a run ending there.
     """
     trajectory = single_run(cfg, epsilon)
     potential = RegularizedPotential(epsilon, trajectory.potential)
@@ -449,15 +456,18 @@ def _density_snapshots(cfg: ExperimentConfig, epsilon: float, times, out: str,
             state = simulate(state, potential, last).states[-1]
         files.append(name.format(t=t, eps=epsilon))
         write_csv(os.path.join(out, files[-1]), DENSITY_HEADER, density_rows(state))
-    return files
+    if energy:
+        files.append(ENERGY_NAME.format(eps=epsilon))
+        write_csv(os.path.join(out, files[-1]), ENERGY_HEADER, energy_rows(trajectory))
+    return files, trajectory
 
 
 def check_figure(cfg: ExperimentConfig, figure: str) -> None:
-    """Raise ValueError unless figure is known and each density run is a step long."""
+    """Raise ValueError unless figure is known and each snapshot run is a step long."""
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    for _, _, times, _ in FIGURE_RUNS[figure][0]:
-        if max(times) < cfg.solver.dt:
+    for _, _, times, _, _ in FIGURE_RUNS[figure]:
+        if times and max(times) < cfg.solver.dt:
             raise ValueError(f"{figure}: last snapshot time {max(times):g} "
                              f"is shorter than dt {cfg.solver.dt:g}")
 
@@ -467,22 +477,14 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> list[str]:
 
     The potential family and widths are fixed per figure by FIGURE_RUNS;
     the grid, solver backend, step and datum smoothing come from cfg.  Every
-    run records every step.
+    run records every step and ends at its last snapshot time, if it has any.
     """
     check_figure(cfg, figure)
-    dense = replace(cfg.solver, record_every=1)
-    densities, energies = FIGURE_RUNS[figure]
     files: list[str] = []
-    for kind, epsilons, times, name in densities:
-        run_cfg = replace(cfg, potential=PotentialSpec(kind),
-                          solver=replace(dense, t_end=max(times)))
+    for kind, epsilons, times, name, energy in FIGURE_RUNS[figure]:
+        solver = replace(cfg.solver, record_every=1, t_end=max(times, default=cfg.solver.t_end))
+        run_cfg = replace(cfg, potential=PotentialSpec(kind), solver=solver)
         for epsilon in epsilons:
-            files += _density_snapshots(run_cfg, epsilon, times, out, name)
-    for kind, epsilons in energies:
-        run_cfg = replace(cfg, potential=PotentialSpec(kind), solver=dense)
-        for epsilon in epsilons:
-            files.append(ENERGY_NAME.format(eps=epsilon))
-            # bind no name to the run, so it dies before the next one starts
-            write_csv(os.path.join(out, files[-1]), ENERGY_HEADER,
-                      energy_rows(single_run(run_cfg, epsilon)))
+            # keep only the names, so each run dies before the next one starts
+            files += run_tables(run_cfg, epsilon, times, name, energy, out)[0]
     return files

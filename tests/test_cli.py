@@ -164,9 +164,19 @@ class TestSimulate:
         def explode(cfg, epsilon):
             raise NumericalAbort(3, 0.0321, 2.0e5, epsilon=epsilon)
 
-        monkeypatch.setattr(cli, "single_run", explode)
+        monkeypatch.setattr("fracschrod.harness.single_run", explode)
         rc = main(["simulate", "--out", str(tmp_path), "--eps", "0.2"] + FAST)
         assert rc == 3
+
+    def test_tables_are_figure_tables(self, tmp_path):
+        # simulate's default run is fig1's last snapshot run and fig4's eps 0.05 run
+        for command in (["simulate"], ["figures", "--figure", "fig1"],
+                        ["figures", "--figure", "fig4"]):
+            assert main(command + ["--out", str(tmp_path / command[-1]), "--nx", "256"]) == 0
+        density, energy = "density_t0.2996_eps0.05.csv", "energy_eps0.05.csv"
+        simulated = tmp_path / "simulate"
+        assert (simulated / density).read_bytes() == (tmp_path / "fig1" / density).read_bytes()
+        assert (simulated / energy).read_bytes() == (tmp_path / "fig4" / energy).read_bytes()
 
 
 def test_flags_and_config_keys_agree():
@@ -460,6 +470,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err == "error: fig5: last snapshot time 0.0642 is shorter than dt 0.07\n"
         assert not out.exists()
+
+    def test_figure_with_no_snapshots_takes_any_step(self, tmp_path):
+        # fig4 is energy runs only, so no snapshot time bounds the step; fig5's
+        # snapshot run still does (the test above)
+        assert main(["figures", "--out", str(tmp_path), "--figure", "fig4", "--nx", "256",
+                     "--dt", "0.07"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["energy_eps0.05.csv", "energy_eps0.11.csv",
+                                                "energy_eps0.49.csv", "manifest.json"]
 
     @pytest.mark.parametrize("flag", [["--eps", "0.3"], ["--potential", "zero"]],
                              ids=["eps", "potential"])
