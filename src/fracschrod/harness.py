@@ -15,15 +15,17 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 
 single_run builds one width's run and returns its trajectory, which holds
 the potential samples and, as states[0], the datum; simulate's aborts
-name the width.  Every width runs through it, one at a time, as does
-consistency's refined reference.  Three runs call simulate themselves:
-consistency's smoothed runs, uniqueness's shifted run and a figure
-snapshot's shortened step.  Each driver keeps only what it reports (a
-record, a gap, a peak, a file name), so at most one width's runs are alive
-at once.  run_tables is the one writer of density and energy tables, for
-the simulate command and for every figure.  The figures are one table,
-FIGURE_RUNS, and their snapshot times follow simulate's own step plan
-(solver.step_plan).
+name the width.  The sweep, the energy scaling and the figures run every
+width through it, one at a time, as does consistency's refined
+reference.  Three kinds of run call simulate themselves: consistency's
+smoothed runs, uniqueness's base and shifted runs, which it builds piece
+by piece in lockstep (solver.run_pieces), and a figure snapshot's
+shortened step.  Each driver keeps only what it reports (a record, a gap,
+a peak, a file name), so at most one width's runs are alive at once, and
+of uniqueness's runs at most one pair of pieces.  run_tables is the one
+writer of density and energy tables, for the simulate command and for
+every figure.  The figures are one table, FIGURE_RUNS, and their snapshot
+times follow simulate's own step plan (solver.step_plan).
 
 CSV output is byte-deterministic: LF line endings, floats printed with the
 shortest round-trip repr; write_csv makes its table's directory.  Run
@@ -55,7 +57,15 @@ from .mollifier import (
     sup_norm,
 )
 from .observables import count_local_maxima, position_density, window_mass
-from .solver import SolverConfig, Trajectory, initial_datum, simulate, step_plan
+from .solver import (
+    NumericalAbort,
+    SolverConfig,
+    Trajectory,
+    initial_datum,
+    run_pieces,
+    simulate,
+    step_plan,
+)
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -273,6 +283,9 @@ def default_perturbation(grid: Grid, center: float) -> RealField:
     return RealField(grid, np.e * bump(grid.nodes - center))
 
 
+PIECE_RECORDS = 64  # recorded intervals per piece of a uniqueness run
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     config: ExperimentConfig  # perfbench pairs config.epsilons with the distances
@@ -288,20 +301,44 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
     (site - 1, site + 1) and both runs start from the same datum.  The
     distance is the largest L2 gap over the recorded times; the decay rate
     is the fitted exponent q with distance ~ eps^q, ideally q = m.
+
+    The base and shifted runs go in lockstep pieces of at most PIECE_RECORDS
+    recorded intervals (solver.run_pieces): each piece of each run is one
+    simulate call from the last state of its previous piece, compared row
+    by row and dropped before the next one runs, so at most one pair of
+    pieces is alive.  A run that fits in one piece is one simulate call
+    with cfg.solver.  A piece's abort counts its steps from the piece's
+    start, so on one the two runs go again whole, base first, and raise
+    the whole run's abort.
     """
     if not (np.isfinite(m) and m >= 1):
         raise ValueError(f"perturbation exponent must be at least 1, got {m}")
     grid = cfg.grid
     perturbation = default_perturbation(grid, cfg.potential.site)
     root_dx = np.sqrt(grid.dx)
+    plan = run_pieces(cfg.solver, PIECE_RECORDS)
+
+    def chained_gap(pair, datum: ComplexField, chain) -> float:
+        starts, gaps = (datum, datum), [0.0]  # both runs start from the datum
+        for piece, last_recorded in chain:
+            a, b = (simulate(u, p, piece).values for u, p in zip(starts, pair))
+            rows = slice(1, None if last_recorded else -1)
+            gaps += (float(root_dx * np.linalg.norm(x - y)) for x, y in zip(a[rows], b[rows]))
+            starts = [ComplexField.from_checked(grid, run[-1].copy()) for run in (a, b)]
+            del a, b  # before the next piece runs
+        return max(gaps)
 
     def gap(epsilon: float) -> float:
-        t_base = single_run(cfg, epsilon)
-        shifted = RegularizedPotential(
-            epsilon, RealField(grid, t_base.potential.values + epsilon**m * perturbation.values))
-        t_shift = simulate(t_base.states[0], shifted, cfg.solver)
-        return max(float(root_dx * np.linalg.norm(a - b))
-                   for a, b in zip(t_base.values, t_shift.values))
+        base = regularize_potential(cfg.potential, grid, epsilon)
+        pair = (base, RegularizedPotential(
+            epsilon, RealField(grid, base.field.values + epsilon**m * perturbation.values)))
+        datum = prepared_datum(cfg, epsilon)
+        if len(plan) > 1:
+            try:
+                return chained_gap(pair, datum, plan)
+            except NumericalAbort:
+                pass  # its step, time and worst count from its piece's start
+        return chained_gap(pair, datum, [(cfg.solver, True)])  # one call per run
 
     # one width's runs at a time: both die when gap() returns
     distances = [gap(e) for e in cfg.epsilons]
@@ -441,10 +478,12 @@ def run_tables(cfg: ExperimentConfig, epsilon: float, times, name: str | None,
     """Run cfg at one width, write its tables into out; returns their names and the run.
 
     One density table per snapshot time, named by name, then the energy table
-    if energy is set.  t_end is the run's last row; an earlier time off the
-    step grid (custom dt) is one shortened step from the row step_plan counts,
-    as a run ending there.
+    if energy is set.  The run records every step, whatever cfg's
+    record_every, so a snapshot reads the row step_plan counts: t_end is the
+    run's last row; an earlier time off the step grid (custom dt) is one
+    shortened step from that row, as a run ending there.
     """
+    cfg = replace(cfg, solver=replace(cfg.solver, record_every=1))
     trajectory = single_run(cfg, epsilon)
     potential = RegularizedPotential(epsilon, trajectory.potential)
     files = []
@@ -477,12 +516,13 @@ def emit_figure_data(cfg: ExperimentConfig, figure: str, out: str) -> list[str]:
 
     The potential family and widths are fixed per figure by FIGURE_RUNS;
     the grid, solver backend, step and datum smoothing come from cfg.  Every
-    run records every step and ends at its last snapshot time, if it has any.
+    run records every step (run_tables) and ends at its last snapshot time,
+    if it has any.
     """
     check_figure(cfg, figure)
     files: list[str] = []
     for kind, epsilons, times, name, energy in FIGURE_RUNS[figure]:
-        solver = replace(cfg.solver, record_every=1, t_end=max(times, default=cfg.solver.t_end))
+        solver = replace(cfg.solver, t_end=max(times, default=cfg.solver.t_end))
         run_cfg = replace(cfg, potential=PotentialSpec(kind), solver=solver)
         for epsilon in epsilons:
             # keep only the names, so each run dies before the next one starts

@@ -14,7 +14,8 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 
 Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step, as
-step_plan lays out.
+step_plan lays out; run_pieces lays a run out as a chain of shorter runs
+with the same states.
 
 A stepper's one stepping method, advance, takes a segment of steps,
 yielding after each one an array that is finite exactly when the new state
@@ -31,7 +32,7 @@ copy a row to hold it longer than its run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
     "cn_step",
     "strang_step",
     "step_plan",
+    "run_pieces",
     "simulate",
 ]
 
@@ -498,6 +500,44 @@ def step_plan(t_end: float, dt: float) -> tuple[int, float]:
     return n_full, remainder if remainder >= dt * 1e-9 else 0.0
 
 
+def _marked_steps(n_full: int, remainder: float, every: int) -> range:
+    """The full steps simulate records before the final state.
+
+    A last full step that ends the run is recorded as the final state instead.
+    """
+    return range(every, (n_full if remainder > 0.0 else n_full - 1) + 1, every)
+
+
+def run_pieces(config: SolverConfig, records: int) -> list[tuple[SolverConfig, bool]]:
+    """config's run as a chain of runs that each record at most records intervals.
+
+    A run that records at most records intervals after its datum is the one
+    piece (config, True).  Otherwise each whole piece takes records *
+    record_every full steps (t_end = k * dt), the last one the full steps
+    left, and a shortened last step runs alone (dt = t_end = remainder).
+    Run in order, each from a copy of the last state of the one before, the
+    pieces take simulate's segments of the whole run one for one, so their
+    states equal its states bit for bit.  Each piece comes with whether the
+    run records its last state.  The run records each state a piece records
+    between its first and its last, and skips a piece's last state only at
+    the last full step, when a shortened step follows it off the
+    record_every grid.
+    """
+    n_full, remainder = step_plan(config.t_end, config.dt)
+    marked = _marked_steps(n_full, remainder, config.record_every)
+    if len(marked) < records:
+        return [(config, True)]
+    stride = records * config.record_every
+    chain = []
+    for start in range(0, n_full, stride):
+        stop = min(start + stride, n_full)
+        chain.append((replace(config, t_end=(stop - start) * config.dt),
+                      remainder == 0.0 or stop in marked))
+    if remainder > 0.0:
+        chain.append((replace(config, dt=remainder, t_end=remainder), True))
+    return chain
+
+
 def simulate(u0: ComplexField, potential: RegularizedPotential,
              config: SolverConfig) -> Trajectory:
     """March u0 to config.t_end and record its states.
@@ -524,10 +564,7 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     n_full, remainder = step_plan(config.t_end, dt)
     make_stepper = _STEPPERS[config.backend]
 
-    # full steps recorded before the final state; a last full step that ends
-    # the run is recorded as the final state instead
-    last_marked = n_full if remainder > 0.0 else n_full - 1
-    marked = range(config.record_every, last_marked + 1, config.record_every)
+    marked = _marked_steps(n_full, remainder, config.record_every)
     times = np.array([0.0, *(i * dt for i in marked), config.t_end])
     rows = np.empty((len(times), grid.n), dtype=complex)
     rows[0] = u0.values

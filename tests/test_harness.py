@@ -11,6 +11,7 @@ from fracschrod.grid import ComplexField, RealField, l2_norm, make_grid
 from fracschrod.harness import (
     DEFAULT_EPSILONS,
     DENSITY_HEADER,
+    DENSITY_NAME,
     FIG1_TIMES,
     FIG5_TIMES,
     REFERENCES,
@@ -23,6 +24,7 @@ from fracschrod.harness import (
     emit_figure_data,
     epsilon_sweep,
     prepared_datum,
+    run_tables,
     single_run,
     uniqueness_experiment,
     write_csv,
@@ -35,7 +37,15 @@ from fracschrod.mollifier import (
 )
 from fracschrod.observables import composite_norm
 from fracschrod.operators import FractionalOrder
-from fracschrod.solver import NumericalAbort, SolverConfig, Trajectory, initial_datum, simulate
+from fracschrod.solver import (
+    BACKENDS,
+    NumericalAbort,
+    SolverConfig,
+    Trajectory,
+    initial_datum,
+    run_pieces,
+    simulate,
+)
 
 DT = 0.0107
 
@@ -51,6 +61,30 @@ def fractional_config():
     solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.0642,
                           order=FractionalOrder(0.75))
     return quick_config(kind="delta_squared", epsilons=(0.4, 0.1, 0.05), n=256, solver=solver)
+
+
+def one_call_distances(cfg, m):
+    """uniqueness_experiment's distances from one whole simulate call per run."""
+    grid = cfg.grid
+    bump = fracschrod.harness.default_perturbation(grid, cfg.potential.site)
+    distances = []
+    for epsilon in cfg.epsilons:
+        base = regularize_potential(cfg.potential, grid, epsilon)
+        shifted = RegularizedPotential(
+            epsilon, RealField(grid, base.field.values + epsilon**m * bump.values))
+        datum = prepared_datum(cfg, epsilon)
+        a_run = simulate(datum, base, cfg.solver)
+        b_run = simulate(datum, shifted, cfg.solver)
+        distances.append(max(l2_norm(ComplexField(grid, a.values - b.values))
+                             for a, b in zip(a_run.states, b_run.states)))
+    return tuple(distances)
+
+
+@pytest.fixture
+def pieces(monkeypatch):
+    """Uniqueness runs go in pieces of 3 recorded intervals."""
+    monkeypatch.setattr(fracschrod.harness, "PIECE_RECORDS", 3)
+    return 3
 
 
 class TestExperimentConfig:
@@ -198,21 +232,60 @@ class TestUniqueness:
         assert report.residual is None
 
     def test_distances_match_per_state_l2_gap(self):
-        cfg, m = fractional_config(), 2.0
-        grid = cfg.grid
-        report = uniqueness_experiment(cfg, m=m)
-        bump = default_perturbation(grid, cfg.potential.site)
-        for epsilon, distance in zip(cfg.epsilons, report.distances):
-            base = regularize_potential(cfg.potential, grid, epsilon)
-            shifted = RegularizedPotential(
-                epsilon, RealField(grid, base.field.values + epsilon**m * bump.values))
-            datum = prepared_datum(cfg, epsilon)
-            a_run = simulate(datum, base, cfg.solver)
-            b_run = simulate(datum, shifted, cfg.solver)
-            assert distance > 0.0
-            assert distance == max(
-                l2_norm(ComplexField(grid, a.values - b.values))
-                for a, b in zip(a_run.states, b_run.states))
+        cfg = fractional_config()
+        report = uniqueness_experiment(cfg, m=2.0)
+        assert all(d > 0.0 for d in report.distances)
+        assert report.distances == one_call_distances(cfg, 2.0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("every", [1, 7, 100])
+    @pytest.mark.parametrize("dt", [DT, 0.001, 0.0013])
+    @pytest.mark.parametrize("t_end", [0.214, 0.2996, 0.05])
+    def test_pieces_match_one_call(self, pieces, backend, every, dt, t_end):
+        order = FractionalOrder(0.75 if backend == "spectral_strang" else 1.0)
+        solver = SolverConfig(backend=backend, dt=dt, t_end=t_end, order=order,
+                              record_every=every)
+        cfg = quick_config(epsilons=(0.4, 0.1), n=256, solver=solver)
+        distances = uniqueness_experiment(cfg, m=2.0).distances
+        assert np.array_equal(distances, one_call_distances(cfg, 2.0))
+
+    def test_pieces_skip_the_step_the_run_does_not_record(self, monkeypatch, pieces):
+        # 299 full steps and a shortened one at record_every 7: the run does
+        # not record step 299, the last of a piece.  A strong perturbation
+        # makes the gap swing from step to step, so comparing that step
+        # would raise the distance at eps 0.1
+        monkeypatch.setattr(fracschrod.harness, "default_perturbation",
+                            lambda grid, site: RealField(
+                                grid, 3000 * default_perturbation(grid, site).values))
+        solver = SolverConfig(dt=0.001, t_end=0.2996, record_every=7)
+        assert [last for _, last in run_pieces(solver, pieces)].count(False) == 1
+        cfg = quick_config(epsilons=(0.4, 0.1), n=256, solver=solver)
+        distances = uniqueness_experiment(cfg, m=2.0).distances
+        assert np.array_equal(distances, one_call_distances(cfg, 2.0))
+
+    def test_abort_in_a_later_piece_is_the_whole_runs(self, monkeypatch, pieces):
+        # a Crank-Nicolson state turns NaN once the spreading packet's peak
+        # falls below 0.0085, at step 6, the last of the second piece: the
+        # fault follows the state, as each piece builds its own stepper
+        original = fracschrod.solver._ThomasFactor.solve
+
+        def fading(self, rhs, out):
+            original(self, rhs, out)
+            if np.abs(out).max() < 0.0085:
+                out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(fracschrod.solver._ThomasFactor, "solve", fading)
+        cfg = quick_config(epsilons=(0.4, 0.2, 0.1), n=256, t_end=8 * DT)
+        assert len(run_pieces(cfg.solver, pieces)) == 3
+        with pytest.raises(NumericalAbort) as whole:
+            single_run(cfg, 0.4)
+        with pytest.raises(NumericalAbort) as err:
+            uniqueness_experiment(cfg)
+        assert whole.value.step == 6
+        assert (err.value.step, err.value.time, err.value.worst, err.value.epsilon) == \
+            (whole.value.step, whole.value.time, whole.value.worst, 0.4)
+        assert err.value.__context__ is None
 
     def test_rejects_exponent_below_one(self):
         with pytest.raises(ValueError):
@@ -372,6 +445,13 @@ class TestOneWidthAtATime:
         uniqueness_experiment(fractional_config())
         assert alive == [0, 1] * 3
 
+    def test_uniqueness_pieces_keep_one_pair(self, alive, pieces):
+        # 6 recorded steps: two pieces of 3 per run
+        cfg = fractional_config()
+        assert len(run_pieces(cfg.solver, pieces)) == 2
+        uniqueness_experiment(cfg)
+        assert alive == [0, 1] * (2 * 3)
+
     def test_sweep_keeps_one_run(self, alive):
         epsilon_sweep(fractional_config())
         assert alive == [0] * 3
@@ -464,6 +544,19 @@ class TestFigureEmission:
             write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_rows(rerun))
             assert (tmp_path / f"density_t{t:.4f}_eps0.05.csv").read_bytes() == \
                 (tmp_path / "rerun.csv").read_bytes()
+
+    def test_run_tables_records_every_step(self, tmp_path):
+        # at record_every 3 the run's eleventh row is its final state, not step 10
+        solver = SolverConfig(dt=DT, t_end=0.2996, record_every=3)
+        cfg = quick_config(n=256, epsilons=(0.05,), solver=solver)
+        files, trajectory = run_tables(cfg, 0.05, (0.1070, 0.2996), DENSITY_NAME, True,
+                                       str(tmp_path))
+        assert len(trajectory.times) == 29
+        p = regularize_potential(cfg.potential, cfg.grid, 0.05)
+        for name, t in zip(files, (0.1070, 0.2996)):
+            rerun = simulate(initial_datum(cfg.grid), p, replace(solver, t_end=t)).states[-1]
+            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_rows(rerun))
+            assert (tmp_path / name).read_bytes() == (tmp_path / "rerun.csv").read_bytes()
 
     def test_snapshots_before_the_first_full_step(self, tmp_path):
         # at dt 0.05 fig5's times 0.0214 and 0.0428 come before the first

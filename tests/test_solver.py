@@ -16,6 +16,7 @@ from fracschrod.solver import (
     Trajectory,
     cn_step,
     initial_datum,
+    run_pieces,
     simulate,
     solve_tridiagonal,
     step_plan,
@@ -690,6 +691,39 @@ class TestStepPlan:
         tr = simulate(initial_datum(GRID), potential("zero"), SolverConfig(dt=DT, t_end=t_end))
         assert len(tr.times) - 1 == n_full + (remainder > 0.0)
         assert tr.times[-1] == t_end
+
+
+class TestRunPieces:
+    def test_a_run_of_at_most_records_intervals_is_one_piece(self):
+        cfg = SolverConfig(dt=DT, t_end=0.2996)  # 28 recorded intervals
+        assert run_pieces(cfg, 28) == [(cfg, True)]
+        assert len(run_pieces(cfg, 27)) == 2
+
+    def test_plan_off_the_step_grid(self):
+        # 29 full steps and a shortened one; the run records steps 7, 14, 21
+        # and 28 and its final state, not step 29
+        cfg = SolverConfig(dt=0.01, t_end=0.2996, record_every=7)
+        remainder = step_plan(0.2996, 0.01)[1]
+        assert run_pieces(cfg, 3) == [
+            (replace(cfg, t_end=21 * 0.01), True),
+            (replace(cfg, t_end=8 * 0.01), False),
+            (replace(cfg, dt=remainder, t_end=remainder), True),
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("dt", [DT, 0.01, 0.0013])
+    def test_chained_pieces_record_the_run_bit_for_bit(self, backend, every, dt):
+        grid = make_grid(0.0, 10.0, 256)
+        p, u = potential("delta", eps=0.1, grid=grid), initial_datum(grid)
+        cfg = SolverConfig(backend=backend, dt=dt, t_end=0.2996, record_every=every)
+        whole = simulate(u, p, cfg)
+        rows, start = [u.values], u
+        for piece, last_recorded in run_pieces(cfg, 3):
+            values = simulate(start, p, piece).values
+            rows += list(values[1:] if last_recorded else values[1:-1])
+            start = ComplexField(grid, values[-1].copy())
+        assert np.array_equal(np.array(rows), whole.values)
 
 
 class TestSimulate:
