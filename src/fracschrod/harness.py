@@ -306,10 +306,10 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
     recorded intervals (solver.run_pieces): each piece of each run is one
     simulate call from the last state of its previous piece, compared row
     by row and dropped before the next one runs, so at most one pair of
-    pieces is alive.  A run that fits in one piece is one simulate call
-    with cfg.solver.  A piece's abort counts its steps from the piece's
-    start, so on one the two runs go again whole, base first, and raise
-    the whole run's abort.
+    pieces is alive.  Every run is such a chain, however short.  A piece's
+    abort counts its steps from the piece's start, so on one the two runs go
+    again whole, base first, and raise the whole run's abort: that rerun is
+    the only simulate call with cfg.solver.
     """
     if not (np.isfinite(m) and m >= 1):
         raise ValueError(f"perturbation exponent must be at least 1, got {m}")
@@ -333,12 +333,11 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
         pair = (base, RegularizedPotential(
             epsilon, RealField(grid, base.field.values + epsilon**m * perturbation.values)))
         datum = prepared_datum(cfg, epsilon)
-        if len(plan) > 1:
-            try:
-                return chained_gap(pair, datum, plan)
-            except NumericalAbort:
-                pass  # its step, time and worst count from its piece's start
-        return chained_gap(pair, datum, [(cfg.solver, True)])  # one call per run
+        try:
+            return chained_gap(pair, datum, plan)
+        except NumericalAbort:
+            pass  # its step, time and worst count from its piece's start
+        return chained_gap(pair, datum, [(cfg.solver, True)])  # raises the whole run's abort
 
     # one width's runs at a time: both die when gap() returns
     distances = [gap(e) for e in cfg.epsilons]

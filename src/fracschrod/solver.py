@@ -511,8 +511,7 @@ def _marked_steps(n_full: int, remainder: float, every: int) -> range:
 def run_pieces(config: SolverConfig, records: int) -> list[tuple[SolverConfig, bool]]:
     """config's run as a chain of runs that each record at most records intervals.
 
-    A run that records at most records intervals after its datum is the one
-    piece (config, True).  Otherwise each whole piece takes records *
+    Every run is a chain, however short: each whole piece takes records *
     record_every full steps (t_end = k * dt), the last one the full steps
     left, and a shortened last step runs alone (dt = t_end = remainder).
     Run in order, each from a copy of the last state of the one before, the
@@ -525,8 +524,6 @@ def run_pieces(config: SolverConfig, records: int) -> list[tuple[SolverConfig, b
     """
     n_full, remainder = step_plan(config.t_end, config.dt)
     marked = _marked_steps(n_full, remainder, config.record_every)
-    if len(marked) < records:
-        return [(config, True)]
     stride = records * config.record_every
     chain = []
     for start in range(0, n_full, stride):

@@ -45,6 +45,7 @@ from fracschrod.solver import (
     initial_datum,
     run_pieces,
     simulate,
+    step_plan,
 )
 
 DT = 0.0107
@@ -78,6 +79,20 @@ def one_call_distances(cfg, m):
         distances.append(max(l2_norm(ComplexField(grid, a.values - b.values))
                              for a, b in zip(a_run.states, b_run.states)))
     return tuple(distances)
+
+
+def steps(config):
+    """The steps a simulate call with config takes, which perfbench counts once per call."""
+    n_full, remainder = step_plan(config.t_end, config.dt)
+    return n_full + (remainder > 0.0)
+
+
+def chain_cases(test):
+    """Both backends x record_every 1, 7, 100 x dt on and off t_end's grid x three t_end."""
+    for name, values in [("t_end", [0.214, 0.2996, 0.05]), ("dt", [DT, 0.001, 0.0013]),
+                         ("every", [1, 7, 100]), ("backend", BACKENDS)]:
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
 
 
 @pytest.fixture
@@ -237,17 +252,26 @@ class TestUniqueness:
         assert all(d > 0.0 for d in report.distances)
         assert report.distances == one_call_distances(cfg, 2.0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("every", [1, 7, 100])
-    @pytest.mark.parametrize("dt", [DT, 0.001, 0.0013])
-    @pytest.mark.parametrize("t_end", [0.214, 0.2996, 0.05])
-    def test_pieces_match_one_call(self, pieces, backend, every, dt, t_end):
+    @staticmethod
+    def check_chain_matches_one_call(backend, every, dt, t_end):
         order = FractionalOrder(0.75 if backend == "spectral_strang" else 1.0)
         solver = SolverConfig(backend=backend, dt=dt, t_end=t_end, order=order,
                               record_every=every)
+        chain = run_pieces(solver, fracschrod.harness.PIECE_RECORDS)
+        assert sum(steps(piece) for piece, _ in chain) == steps(solver)
         cfg = quick_config(epsilons=(0.4, 0.1), n=256, solver=solver)
         distances = uniqueness_experiment(cfg, m=2.0).distances
         assert np.array_equal(distances, one_call_distances(cfg, 2.0))
+
+    @chain_cases
+    def test_pieces_match_one_call(self, pieces, backend, every, dt, t_end):
+        self.check_chain_matches_one_call(backend, every, dt, t_end)
+
+    @chain_cases
+    def test_default_pieces_match_one_call(self, backend, every, dt, t_end):
+        # most of these runs record at most PIECE_RECORDS intervals: a chain
+        # of one whole piece, and a shortened step off t_end's grid
+        self.check_chain_matches_one_call(backend, every, dt, t_end)
 
     def test_pieces_skip_the_step_the_run_does_not_record(self, monkeypatch, pieces):
         # 299 full steps and a shortened one at record_every 7: the run does

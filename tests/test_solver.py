@@ -696,7 +696,9 @@ class TestStepPlan:
 class TestRunPieces:
     def test_a_run_of_at_most_records_intervals_is_one_piece(self):
         cfg = SolverConfig(dt=DT, t_end=0.2996)  # 28 recorded intervals
-        assert run_pieces(cfg, 28) == [(cfg, True)]
+        (piece, last_recorded), = run_pieces(cfg, 28)
+        assert last_recorded and step_plan(piece.t_end, piece.dt) == (28, 0.0)
+        assert replace(piece, t_end=cfg.t_end) == cfg
         assert len(run_pieces(cfg, 27)) == 2
 
     def test_plan_off_the_step_grid(self):

@@ -94,9 +94,11 @@ INVOCATIONS = [
     # a sweep whose potential fit is flagged, and a spike no grid node samples
     ["sweep", "--nx", "64"],
     ["simulate", "--eps", "0.035", "--nx", "16"],
-    # uniqueness runs of several pieces, their step on t_end's grid and off it
+    # uniqueness runs of several pieces, their step on t_end's grid and off it,
+    # and a short run off the grid: one whole piece and the shortened step
     ["uniqueness", "--dt", "0.0005"],
     ["uniqueness", "--dt", "0.0006"],
+    ["uniqueness", "--dt", "0.03"],
 ]
 CONFIG_FILES = {"m.cfg": "m = 3\n", "mollify.cfg": "mollify-data = yes\n",
                 "eps.cfg": "eps = 0.3\n"}
