@@ -91,9 +91,9 @@ class _Choice(tuple):
         return text
 
 
-def _table(out: str, name: str, header, rows) -> str:
-    """Write one CSV table into out; returns the name."""
-    write_csv(os.path.join(out, name), header, rows)
+def _table(out: str, name: str, header, columns) -> str:
+    """Write one CSV table from its columns into out; returns the name."""
+    write_csv(os.path.join(out, name), header, columns)
     return name
 
 
@@ -116,9 +116,9 @@ def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
     report = epsilon_sweep(cfg)
     header = ("epsilon", "sup_norm_p", "final_mass", "final_energy",
               "final_composite_norm", "window_mass", "n_maxima")
-    rows = ((r.epsilon, r.sup_norm_p, r.final_mass, r.final_energy,
-             r.final_composite_norm, r.window_mass_at_site, r.n_maxima)
-            for r in report.records)
+    columns = zip(*((r.epsilon, r.sup_norm_p, r.final_mass, r.final_energy,
+                     r.final_composite_norm, r.window_mass_at_site, r.n_maxima)
+                    for r in report.records))
     extras = {key: getattr(report, key) for key in (
         "potential_moderateness_n", "potential_residual", "potential_fit_flagged",
         "solution_moderateness_n", "solution_residual", "solution_fit_flagged")}
@@ -129,15 +129,15 @@ def cmd_sweep(cfg: ExperimentConfig, settings: dict, out: str):
             text += f" (flagged fit, residual {extras[which + '_residual']:.4f})"
         return text
 
-    return ([_table(out, "sweep.csv", header, rows)], extras,
+    return ([_table(out, "sweep.csv", header, columns)], extras,
             f"sweep: {fit('potential')}, {fit('solution')}")
 
 
 def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):
     m = settings["m"]
     report = uniqueness_experiment(cfg, m=m)
-    rows = zip(cfg.epsilons, report.distances)
-    return ([_table(out, "uniqueness.csv", ("epsilon", "distance"), rows)],
+    columns = (cfg.epsilons, report.distances)
+    return ([_table(out, "uniqueness.csv", ("epsilon", "distance"), columns)],
             {"m": m, "decay_rate": report.decay_rate, "residual": report.residual},
             f"uniqueness: m={m:g} fitted decay rate {_or_na(report.decay_rate)}")
 
@@ -145,9 +145,9 @@ def cmd_uniqueness(cfg: ExperimentConfig, settings: dict, out: str):
 def cmd_consistency(cfg: ExperimentConfig, settings: dict, out: str):
     reference = settings["reference"]
     report = consistency_experiment(cfg, reference=reference)
-    rows = zip(cfg.epsilons, report.errors)
+    columns = (cfg.epsilons, report.errors)
     trend = "decreasing" if report.strictly_decreasing else "not monotone"
-    return ([_table(out, "consistency.csv", ("epsilon", "error"), rows)],
+    return ([_table(out, "consistency.csv", ("epsilon", "error"), columns)],
             {"reference": reference, "strictly_decreasing": report.strictly_decreasing},
             f"consistency: errors {trend}; smallest {min(report.errors):.3e}")
 
@@ -170,8 +170,8 @@ def cmd_figures(cfg: ExperimentConfig, settings: dict, out: str):
 
 def cmd_energy_scaling(cfg: ExperimentConfig, settings: dict, out: str):
     report = delta_squared_energy_scaling(cfg)
-    rows = zip(cfg.epsilons, report.max_energies)
-    return ([_table(out, "energy_scaling.csv", ("epsilon", "max_energy"), rows)],
+    columns = (cfg.epsilons, report.max_energies)
+    return ([_table(out, "energy_scaling.csv", ("epsilon", "max_energy"), columns)],
             {"ratio": report.ratio, "monotone_nondecreasing": report.monotone_nondecreasing,
              "in_band": report.in_band},
             f"energy-scaling: peak ratio {report.ratio:.4f} "

@@ -27,10 +27,12 @@ writer of density and energy tables, for the simulate command and for
 every figure.  The figures are one table, FIGURE_RUNS, and their snapshot
 times follow simulate's own step plan (solver.step_plan).
 
-CSV output is byte-deterministic: LF line endings, floats printed with the
-shortest round-trip repr; write_csv makes its table's directory.  Run
-metadata (config digest, timestamp) goes into manifest.json next to the
-tables (cli.main writes it), never into the CSVs or the reports.
+CSV output is byte-deterministic: write_csv takes a table's columns, one
+type per column, and writes floats by their shortest round-trip repr,
+integers and flags as integers, with LF line endings; it makes its table's
+directory.  Run metadata (config digest, timestamp) goes into
+manifest.json next to the tables (cli.main writes it), never into the CSVs
+or the reports.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ __all__ = [
     "run_tables",
     "write_csv",
     "write_manifest",
-    "density_rows",
-    "energy_rows",
 ]
 
 DEFAULT_EPSILONS = (0.8, 0.4, 0.3, 0.15, 0.11, 0.08, 0.05, 0.035)
@@ -424,21 +424,23 @@ def delta_squared_energy_scaling(cfg: ExperimentConfig) -> EnergyScalingReport:
 # CSV and manifest output
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):  # most cells, so tested first
-        return repr(float(value))
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    return str(value)
+def write_csv(path: str, header, columns) -> None:
+    """Write equal-length columns under header as plain CSV; creates path's directory.
 
-
-def write_csv(path: str, header, rows) -> None:
-    """Plain CSV, LF endings, shortest round-trip floats; creates path's directory."""
+    Each column has one type and one cell rule: floats are written as the
+    shortest round-trip repr of their tolist() values, integers and flags
+    as integers.  LF line endings; the table is written in one call.
+    Columns of unequal length raise ValueError.
+    """
+    cells = []
+    for values in map(np.asarray, columns):
+        if values.dtype.kind != "f":  # integers and flags
+            values = values.astype(int)
+        cells.append(map(repr, values.tolist()))  # a numpy scalar's repr names its type
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines))
 
 
 def write_manifest(out: str, cfg: ExperimentConfig, command: str, files, **extra) -> None:
@@ -453,19 +455,6 @@ def write_manifest(out: str, cfg: ExperimentConfig, command: str, files, **extra
     with open(os.path.join(out, "manifest.json"), "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def density_rows(state: ComplexField):
-    # tolist() yields Python floats, which _cell formats fastest
-    values = state.values
-    return zip(state.grid.nodes.tolist(), values.real.tolist(), values.imag.tolist(),
-               position_density(state).values.tolist())
-
-
-def energy_rows(trajectory: Trajectory):
-    return zip(trajectory.times.tolist(), trajectory.mass.tolist(),
-               trajectory.energy.tolist(), trajectory.hs_part.tolist(),
-               trajectory.potential_part.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +482,14 @@ def run_tables(cfg: ExperimentConfig, epsilon: float, times, name: str | None,
             last = replace(cfg.solver, dt=remainder, t_end=remainder)
             state = simulate(state, potential, last).states[-1]
         files.append(name.format(t=t, eps=epsilon))
-        write_csv(os.path.join(out, files[-1]), DENSITY_HEADER, density_rows(state))
+        values = state.values
+        write_csv(os.path.join(out, files[-1]), DENSITY_HEADER,
+                  (state.grid.nodes, values.real, values.imag, position_density(state).values))
     if energy:
         files.append(ENERGY_NAME.format(eps=epsilon))
-        write_csv(os.path.join(out, files[-1]), ENERGY_HEADER, energy_rows(trajectory))
+        write_csv(os.path.join(out, files[-1]), ENERGY_HEADER,
+                  (trajectory.times, trajectory.mass, trajectory.energy, trajectory.hs_part,
+                   trajectory.potential_part))
     return files, trajectory
 
 

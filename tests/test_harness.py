@@ -20,7 +20,6 @@ from fracschrod.harness import (
     consistency_experiment,
     default_perturbation,
     delta_squared_energy_scaling,
-    density_rows,
     emit_figure_data,
     epsilon_sweep,
     prepared_datum,
@@ -35,7 +34,7 @@ from fracschrod.mollifier import (
     mollify_samples,
     regularize_potential,
 )
-from fracschrod.observables import composite_norm
+from fracschrod.observables import composite_norm, position_density
 from fracschrod.operators import FractionalOrder
 from fracschrod.solver import (
     BACKENDS,
@@ -62,6 +61,12 @@ def fractional_config():
     solver = SolverConfig(backend="spectral_strang", dt=DT, t_end=0.0642,
                           order=FractionalOrder(0.75))
     return quick_config(kind="delta_squared", epsilons=(0.4, 0.1, 0.05), n=256, solver=solver)
+
+
+def density_columns(state):
+    """The columns run_tables writes as a state's density table."""
+    values = state.values
+    return state.grid.nodes, values.real, values.imag, position_density(state).values
 
 
 def one_call_distances(cfg, m):
@@ -565,7 +570,7 @@ class TestFigureEmission:
         p = regularize_potential(PotentialSpec("delta"), grid, 0.05)
         for t in FIG1_TIMES[1:]:
             rerun = original(initial_datum(grid), p, replace(solver, t_end=t)).states[-1]
-            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_rows(rerun))
+            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_columns(rerun))
             assert (tmp_path / f"density_t{t:.4f}_eps0.05.csv").read_bytes() == \
                 (tmp_path / "rerun.csv").read_bytes()
 
@@ -579,7 +584,7 @@ class TestFigureEmission:
         p = regularize_potential(cfg.potential, cfg.grid, 0.05)
         for name, t in zip(files, (0.1070, 0.2996)):
             rerun = simulate(initial_datum(cfg.grid), p, replace(solver, t_end=t)).states[-1]
-            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_rows(rerun))
+            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_columns(rerun))
             assert (tmp_path / name).read_bytes() == (tmp_path / "rerun.csv").read_bytes()
 
     def test_snapshots_before_the_first_full_step(self, tmp_path):
@@ -593,7 +598,7 @@ class TestFigureEmission:
         for t in FIG5_TIMES[1:]:
             run = replace(solver, dt=min(t, solver.dt), t_end=t)
             rerun = simulate(initial_datum(grid), p, run).states[-1]
-            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_rows(rerun))
+            write_csv(str(tmp_path / "rerun.csv"), DENSITY_HEADER, density_columns(rerun))
             assert (tmp_path / f"density_t{t:.4f}_eps0.05.csv").read_bytes() == \
                 (tmp_path / "rerun.csv").read_bytes()
 
@@ -620,25 +625,25 @@ class TestCsvFormat:
     def test_floats_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         vals = [0.009848179605063479, 1 / 3, 2.190344e-3]
-        write_csv(str(path), ("a", "b", "c"), [tuple(vals)])
+        write_csv(str(path), ("a", "b", "c"), [[v] for v in vals])
         line = path.read_text().splitlines()[1]
         assert [float(tok) for tok in line.split(",")] == vals
 
     def test_unix_line_endings(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(str(path), ("a", "b"), [(1.0, 2.0), (3.0, 4.0)])
+        write_csv(str(path), ("a", "b"), [(1.0, 3.0), (2.0, 4.0)])
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(str(path), ("epsilon", "distance"), [(0.4, 1e-5)])
+        write_csv(str(path), ("epsilon", "distance"), [(0.4,), (1e-5,)])
         assert path.read_text().splitlines()[0] == "epsilon,distance"
 
     def test_integer_cells_have_no_point(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(str(path), ("n", "x"), [(16, 0.5)])
+        write_csv(str(path), ("n", "x"), [(16,), (0.5,)])
         assert path.read_text().splitlines()[1] == "16,0.5"
 
     def test_cells_match_repr_of_float(self, tmp_path):
@@ -646,8 +651,22 @@ class TestCsvFormat:
         rows = [(-0.0, 1e-05, 1.5e+16, 7, True),
                 (np.float64(-0.0), np.float64(1e-05), np.float64(1.5e+16), np.int64(7),
                  np.bool_(False))]
-        write_csv(str(path), ("a", "b", "c", "n", "flag"), rows)
+        write_csv(str(path), ("a", "b", "c", "n", "flag"), zip(*rows))
         expected = [",".join(str(int(v)) if isinstance(v, (int, np.integer, np.bool_))
                              else repr(float(v)) for v in row) for row in rows]
         assert path.read_text().splitlines()[1:] == expected
         assert expected == ["-0.0,1e-05,1.5e+16,7,1", "-0.0,1e-05,1.5e+16,7,0"]
+
+    def test_numpy_columns_match_lists(self, tmp_path):
+        columns = (np.array([-0.0, 1e-05, 1.5e+16]), np.array([7, -3, 0], dtype=np.int64),
+                   np.array([True, False, True]))
+        write_csv(str(tmp_path / "a.csv"), ("x", "n", "flag"), columns)
+        write_csv(str(tmp_path / "l.csv"), ("x", "n", "flag"), [c.tolist() for c in columns])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "l.csv").read_bytes() == \
+            b"x,n,flag\n-0.0,7,1\n1e-05,-3,0\n1.5e+16,0,1\n"
+
+    def test_unequal_columns_raise(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(path), ("a", "b"), ([1.0, 2.0], [3.0]))
+        assert not path.exists()
