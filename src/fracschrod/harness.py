@@ -5,7 +5,8 @@ Each driver takes one ExperimentConfig and returns a frozen report object:
 * epsilon_sweep: run every width in the family, tabulate observables, fit
   log-log growth rates of the potential and of the solution.
 * uniqueness_experiment: perturb the potential by eps^m times the unit bump
-  on (site - 1, site + 1) and measure how fast the solutions pull together.
+  on (site - 1, site + 1) and measure how fast the solutions pull together,
+  by their largest L2 gap over every step.
 * consistency_experiment: smooth a regular potential and compare against the
   unsmoothed reference as the width shrinks.
 * emit_figure_data: write the density and energy tables behind the standard
@@ -19,13 +20,14 @@ name the width.  The sweep, the energy scaling and the figures run every
 width through it, one at a time, as does consistency's refined
 reference.  Three kinds of run call simulate themselves: consistency's
 smoothed runs, uniqueness's base and shifted runs, which it builds piece
-by piece in lockstep (solver.run_pieces), and a figure snapshot's
-shortened step.  Each driver keeps only what it reports (a record, a gap,
-a peak, a file name), so at most one width's runs are alive at once, and
-of uniqueness's runs at most one pair of pieces.  run_tables is the one
-writer of density and energy tables, for the simulate command and for
-every figure.  The figures are one table, FIGURE_RUNS, and their snapshot
-times follow simulate's own step plan (solver.step_plan).
+by piece in lockstep, each piece recording every step (solver.run_pieces),
+and a figure snapshot's shortened step.  Each driver keeps only what it
+reports (a record, a gap, a peak, a file name), so at most one width's
+runs are alive at once, and of uniqueness's runs at most one pair of
+pieces.  run_tables is the one writer of density and energy tables, for
+the simulate command and for every figure.  The figures are one table,
+FIGURE_RUNS, and their snapshot times follow simulate's own step plan
+(solver.step_plan).
 
 CSV output is byte-deterministic: write_csv takes a table's columns, one
 type per column, and writes floats by their shortest round-trip repr,
@@ -283,7 +285,7 @@ def default_perturbation(grid: Grid, center: float) -> RealField:
     return RealField(grid, np.e * bump(grid.nodes - center))
 
 
-PIECE_RECORDS = 64  # recorded intervals per piece of a uniqueness run
+PIECE_RECORDS = 64  # steps per piece of a uniqueness run
 
 
 @dataclass(frozen=True)
@@ -299,17 +301,18 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
 
     For each width the potential is shifted by eps^m times the unit bump on
     (site - 1, site + 1) and both runs start from the same datum.  The
-    distance is the largest L2 gap over the recorded times; the decay rate
-    is the fitted exponent q with distance ~ eps^q, ideally q = m.
+    distance is the largest L2 gap over every step, whatever
+    cfg.solver.record_every is; the decay rate is the fitted exponent q with
+    distance ~ eps^q, ideally q = m.
 
     The base and shifted runs go in lockstep pieces of at most PIECE_RECORDS
-    recorded intervals (solver.run_pieces): each piece of each run is one
-    simulate call from the last state of its previous piece, compared row
-    by row and dropped before the next one runs, so at most one pair of
-    pieces is alive.  Every run is such a chain, however short.  A piece's
-    abort counts its steps from the piece's start, so on one the two runs go
-    again whole, base first, and raise the whole run's abort: that rerun is
-    the only simulate call with cfg.solver.
+    steps, each piece recording every step (solver.run_pieces): each piece
+    of each run is one simulate call from the last state of its previous
+    piece, compared row by row and dropped before the next one runs, so at
+    most one pair of pieces is alive.  Every run is such a chain, however
+    short.  A piece's abort counts its steps from the piece's start, so on
+    one the two runs go again whole, base first, recording every step, and
+    raise the whole run's abort.
     """
     if not (np.isfinite(m) and m >= 1):
         raise ValueError(f"perturbation exponent must be at least 1, got {m}")
@@ -320,10 +323,9 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
 
     def chained_gap(pair, datum: ComplexField, chain) -> float:
         starts, gaps = (datum, datum), [0.0]  # both runs start from the datum
-        for piece, last_recorded in chain:
+        for piece in chain:
             a, b = (simulate(u, p, piece).values for u, p in zip(starts, pair))
-            rows = slice(1, None if last_recorded else -1)
-            gaps += (float(root_dx * np.linalg.norm(x - y)) for x, y in zip(a[rows], b[rows]))
+            gaps += (float(root_dx * np.linalg.norm(x - y)) for x, y in zip(a[1:], b[1:]))
             starts = [ComplexField.from_checked(grid, run[-1].copy()) for run in (a, b)]
             del a, b  # before the next piece runs
         return max(gaps)
@@ -337,7 +339,8 @@ def uniqueness_experiment(cfg: ExperimentConfig, m: float = 2.0) -> UniquenessRe
             return chained_gap(pair, datum, plan)
         except NumericalAbort:
             pass  # its step, time and worst count from its piece's start
-        return chained_gap(pair, datum, [(cfg.solver, True)])  # raises the whole run's abort
+        # the whole run, recording every step, raises the whole run's abort
+        return chained_gap(pair, datum, [replace(cfg.solver, record_every=1)])
 
     # one width's runs at a time: both die when gap() returns
     distances = [gap(e) for e in cfg.epsilons]

@@ -15,7 +15,7 @@ Crank-Nicolson, which only takes s = 1, ignores order):
 Both are unconditionally stable and preserve the discrete L2 norm up to
 roundoff.  A run lands exactly on t_end by shortening the last step, as
 step_plan lays out; run_pieces lays a run out as a chain of shorter runs
-with the same states.
+that record every step, with the same states.
 
 A stepper's one stepping method, advance, takes a segment of steps,
 yielding after each one an array that is finite exactly when the new state
@@ -80,7 +80,10 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Backend, step sizes and recording cadence for one run."""
+    """Backend, step sizes and recording cadence for one run.
+
+    record_every thins only the states simulate returns, never the steps.
+    """
 
     backend: str = "crank_nicolson"
     dt: float = 0.0107
@@ -500,38 +503,23 @@ def step_plan(t_end: float, dt: float) -> tuple[int, float]:
     return n_full, remainder if remainder >= dt * 1e-9 else 0.0
 
 
-def _marked_steps(n_full: int, remainder: float, every: int) -> range:
-    """The full steps simulate records before the final state.
+def run_pieces(config: SolverConfig, records: int) -> list[SolverConfig]:
+    """config's run as a chain of runs that each record every step, at most records.
 
-    A last full step that ends the run is recorded as the final state instead.
-    """
-    return range(every, (n_full if remainder > 0.0 else n_full - 1) + 1, every)
-
-
-def run_pieces(config: SolverConfig, records: int) -> list[tuple[SolverConfig, bool]]:
-    """config's run as a chain of runs that each record at most records intervals.
-
-    Every run is a chain, however short: each whole piece takes records *
-    record_every full steps (t_end = k * dt), the last one the full steps
-    left, and a shortened last step runs alone (dt = t_end = remainder).
-    Run in order, each from a copy of the last state of the one before, the
-    pieces take simulate's segments of the whole run one for one, so their
-    states equal its states bit for bit.  Each piece comes with whether the
-    run records its last state.  The run records each state a piece records
-    between its first and its last, and skips a piece's last state only at
-    the last full step, when a shortened step follows it off the
-    record_every grid.
+    Every run is a chain, however short: each whole piece takes records full
+    steps (t_end = k * dt), the last one the full steps left, and a
+    shortened last step runs alone (dt = t_end = remainder).  Every piece
+    records every step, whatever config.record_every is.  Run in order,
+    each from a copy of the last state of the one before, the pieces take
+    the whole run's steps one for one, so their states equal the states of
+    config's run at record_every = 1 bit for bit.
     """
     n_full, remainder = step_plan(config.t_end, config.dt)
-    marked = _marked_steps(n_full, remainder, config.record_every)
-    stride = records * config.record_every
-    chain = []
-    for start in range(0, n_full, stride):
-        stop = min(start + stride, n_full)
-        chain.append((replace(config, t_end=(stop - start) * config.dt),
-                      remainder == 0.0 or stop in marked))
+    every_step = replace(config, record_every=1)
+    chain = [replace(every_step, t_end=(min(start + records, n_full) - start) * config.dt)
+             for start in range(0, n_full, records)]
     if remainder > 0.0:
-        chain.append((replace(config, dt=remainder, t_end=remainder), True))
+        chain.append(replace(every_step, dt=remainder, t_end=remainder))
     return chain
 
 
@@ -561,7 +549,8 @@ def simulate(u0: ComplexField, potential: RegularizedPotential,
     n_full, remainder = step_plan(config.t_end, dt)
     make_stepper = _STEPPERS[config.backend]
 
-    marked = _marked_steps(n_full, remainder, config.record_every)
+    # a last full step that ends the run is recorded as the final state instead
+    marked = range(config.record_every, n_full + (remainder > 0.0), config.record_every)
     times = np.array([0.0, *(i * dt for i in marked), config.t_end])
     rows = np.empty((len(times), grid.n), dtype=complex)
     rows[0] = u0.values

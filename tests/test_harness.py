@@ -70,8 +70,8 @@ def density_columns(state):
 
 
 def one_call_distances(cfg, m):
-    """uniqueness_experiment's distances from one whole simulate call per run."""
-    grid = cfg.grid
+    """uniqueness_experiment's distances from one whole simulate call per run, every step."""
+    grid, solver = cfg.grid, replace(cfg.solver, record_every=1)
     bump = fracschrod.harness.default_perturbation(grid, cfg.potential.site)
     distances = []
     for epsilon in cfg.epsilons:
@@ -79,8 +79,8 @@ def one_call_distances(cfg, m):
         shifted = RegularizedPotential(
             epsilon, RealField(grid, base.field.values + epsilon**m * bump.values))
         datum = prepared_datum(cfg, epsilon)
-        a_run = simulate(datum, base, cfg.solver)
-        b_run = simulate(datum, shifted, cfg.solver)
+        a_run = simulate(datum, base, solver)
+        b_run = simulate(datum, shifted, solver)
         distances.append(max(l2_norm(ComplexField(grid, a.values - b.values))
                              for a, b in zip(a_run.states, b_run.states)))
     return tuple(distances)
@@ -102,7 +102,7 @@ def chain_cases(test):
 
 @pytest.fixture
 def pieces(monkeypatch):
-    """Uniqueness runs go in pieces of 3 recorded intervals."""
+    """Uniqueness runs go in pieces of 3 steps."""
     monkeypatch.setattr(fracschrod.harness, "PIECE_RECORDS", 3)
     return 3
 
@@ -263,7 +263,7 @@ class TestUniqueness:
         solver = SolverConfig(backend=backend, dt=dt, t_end=t_end, order=order,
                               record_every=every)
         chain = run_pieces(solver, fracschrod.harness.PIECE_RECORDS)
-        assert sum(steps(piece) for piece, _ in chain) == steps(solver)
+        assert sum(steps(piece) for piece in chain) == steps(solver)
         cfg = quick_config(epsilons=(0.4, 0.1), n=256, solver=solver)
         distances = uniqueness_experiment(cfg, m=2.0).distances
         assert np.array_equal(distances, one_call_distances(cfg, 2.0))
@@ -274,23 +274,24 @@ class TestUniqueness:
 
     @chain_cases
     def test_default_pieces_match_one_call(self, backend, every, dt, t_end):
-        # most of these runs record at most PIECE_RECORDS intervals: a chain
-        # of one whole piece, and a shortened step off t_end's grid
+        # the runs to t_end 0.05 or at dt = DT take at most PIECE_RECORDS
+        # steps: a chain of one whole piece, and a shortened step off t_end's
+        # grid; the others take several pieces
         self.check_chain_matches_one_call(backend, every, dt, t_end)
 
-    def test_pieces_skip_the_step_the_run_does_not_record(self, monkeypatch, pieces):
-        # 299 full steps and a shortened one at record_every 7: the run does
-        # not record step 299, the last of a piece.  A strong perturbation
-        # makes the gap swing from step to step, so comparing that step
-        # would raise the distance at eps 0.1
+    @pytest.mark.parametrize("every", [7, 100])
+    def test_record_every_leaves_the_distances(self, monkeypatch, every):
+        # 299 full steps and a shortened one.  A strong perturbation makes the
+        # gap swing from step to step, so a distance taken only over the steps
+        # record_every keeps would fall at eps 0.1
         monkeypatch.setattr(fracschrod.harness, "default_perturbation",
                             lambda grid, site: RealField(
                                 grid, 3000 * default_perturbation(grid, site).values))
-        solver = SolverConfig(dt=0.001, t_end=0.2996, record_every=7)
-        assert [last for _, last in run_pieces(solver, pieces)].count(False) == 1
+        solver = SolverConfig(dt=0.001, t_end=0.2996)
         cfg = quick_config(epsilons=(0.4, 0.1), n=256, solver=solver)
-        distances = uniqueness_experiment(cfg, m=2.0).distances
-        assert np.array_equal(distances, one_call_distances(cfg, 2.0))
+        thinned = replace(cfg, solver=replace(solver, record_every=every))
+        assert np.array_equal(uniqueness_experiment(thinned, m=2.0).distances,
+                              uniqueness_experiment(cfg, m=2.0).distances)
 
     def test_abort_in_a_later_piece_is_the_whole_runs(self, monkeypatch, pieces):
         # a Crank-Nicolson state turns NaN once the spreading packet's peak
@@ -475,7 +476,7 @@ class TestOneWidthAtATime:
         assert alive == [0, 1] * 3
 
     def test_uniqueness_pieces_keep_one_pair(self, alive, pieces):
-        # 6 recorded steps: two pieces of 3 per run
+        # 6 steps: two pieces of 3 per run
         cfg = fractional_config()
         assert len(run_pieces(cfg.solver, pieces)) == 2
         uniqueness_experiment(cfg)

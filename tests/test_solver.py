@@ -695,21 +695,20 @@ class TestStepPlan:
 
 class TestRunPieces:
     def test_a_run_of_at_most_records_intervals_is_one_piece(self):
-        cfg = SolverConfig(dt=DT, t_end=0.2996)  # 28 recorded intervals
-        (piece, last_recorded), = run_pieces(cfg, 28)
-        assert last_recorded and step_plan(piece.t_end, piece.dt) == (28, 0.0)
+        cfg = SolverConfig(dt=DT, t_end=0.2996)  # 28 steps
+        (piece,) = run_pieces(cfg, 28)
+        assert step_plan(piece.t_end, piece.dt) == (28, 0.0)
         assert replace(piece, t_end=cfg.t_end) == cfg
         assert len(run_pieces(cfg, 27)) == 2
 
     def test_plan_off_the_step_grid(self):
-        # 29 full steps and a shortened one; the run records steps 7, 14, 21
-        # and 28 and its final state, not step 29
+        # 29 full steps and a shortened one; every piece records every step
         cfg = SolverConfig(dt=0.01, t_end=0.2996, record_every=7)
         remainder = step_plan(0.2996, 0.01)[1]
-        assert run_pieces(cfg, 3) == [
-            (replace(cfg, t_end=21 * 0.01), True),
-            (replace(cfg, t_end=8 * 0.01), False),
-            (replace(cfg, dt=remainder, t_end=remainder), True),
+        every_step = replace(cfg, record_every=1)
+        assert run_pieces(cfg, 3) == [replace(every_step, t_end=3 * 0.01)] * 9 + [
+            replace(every_step, t_end=2 * 0.01),
+            replace(every_step, dt=remainder, t_end=remainder),
         ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -719,11 +718,11 @@ class TestRunPieces:
         grid = make_grid(0.0, 10.0, 256)
         p, u = potential("delta", eps=0.1, grid=grid), initial_datum(grid)
         cfg = SolverConfig(backend=backend, dt=dt, t_end=0.2996, record_every=every)
-        whole = simulate(u, p, cfg)
+        whole = simulate(u, p, replace(cfg, record_every=1))
         rows, start = [u.values], u
-        for piece, last_recorded in run_pieces(cfg, 3):
+        for piece in run_pieces(cfg, 3):
             values = simulate(start, p, piece).values
-            rows += list(values[1:] if last_recorded else values[1:-1])
+            rows += list(values[1:])
             start = ComplexField(grid, values[-1].copy())
         assert np.array_equal(np.array(rows), whole.values)
 
